@@ -26,7 +26,6 @@ use cpx_mgcfd::MgCfdTraceModel;
 use cpx_obs::json::{field, FromJson, Json, JsonError, ToJson};
 use cpx_obs::TraceSession;
 use cpx_perfmodel::Allocation;
-use cpx_simpic::SimpicTraceModel;
 use serde::{Deserialize, Serialize};
 
 use crate::instance::{AppKind, Scenario};
@@ -143,14 +142,53 @@ pub fn coupled_phase_names(scenario: &Scenario) -> Vec<String> {
     names
 }
 
+/// Per-density-iteration compute seconds of each SIMPIC instance at its
+/// allocated rank count (`None` for the other instances), measured by
+/// SIMPIC's own standalone run: the aggregate block the coupled program
+/// carries. The block depends only on (config, ranks, machine), so a
+/// caller building several programs from one allocation computes it
+/// once.
+fn aggregate_secs(scenario: &Scenario, alloc: &Allocation, machine: &Machine) -> Vec<Option<f64>> {
+    scenario
+        .apps
+        .iter()
+        .zip(&alloc.app_ranks)
+        .map(|(app, &p)| match app.kind {
+            AppKind::MgCfd(_) => None,
+            AppKind::Simpic(_) => Some(crate::model::app_step_runtime(&app.kind, p, machine)),
+        })
+        .collect()
+}
+
 /// Build the coupled program for `sample_iters` density iterations.
-/// Returns the program, the layout, and the per-app group ids. With
-/// `phased`, every op is labelled with the phase ids of
-/// [`coupled_phase_names`] (free markers; the op stream is otherwise
-/// identical).
+/// Returns the program and the layout. With `phased`, every op is
+/// labelled with the phase ids of [`coupled_phase_names`] (free
+/// markers; the op stream is otherwise identical).
 fn build_program(
     scenario: &Scenario,
     alloc: &Allocation,
+    machine: &Machine,
+    sample_iters: u64,
+    include_cus: bool,
+    phased: bool,
+) -> (TraceProgram, MpmdLayout) {
+    let aggregates = aggregate_secs(scenario, alloc, machine);
+    build_program_with(
+        scenario,
+        alloc,
+        &aggregates,
+        machine,
+        sample_iters,
+        include_cus,
+        phased,
+    )
+}
+
+/// [`build_program`] with the SIMPIC blocks of [`aggregate_secs`] given.
+fn build_program_with(
+    scenario: &Scenario,
+    alloc: &Allocation,
+    aggregates: &[Option<f64>],
     machine: &Machine,
     sample_iters: u64,
     include_cus: bool,
@@ -209,12 +247,8 @@ fn build_program(
                         .collect();
                     Block::Structural(bodies)
                 }
-                AppKind::Simpic(cfg) => {
-                    let model = SimpicTraceModel::new(cfg.clone());
-                    // Two pressure steps per density iteration, measured
-                    // by SIMPIC's own standalone run at this rank count.
-                    let secs = 2.0 * model.per_pressure_step_runtime(p, machine);
-                    Block::Aggregate(secs)
+                AppKind::Simpic(_) => {
+                    Block::Aggregate(aggregates[ai].expect("SIMPIC instance has an aggregate"))
                 }
             }
         })
@@ -335,12 +369,27 @@ pub fn run_coupled_with(
     noise: Option<(f64, u64)>,
 ) -> CoupledRun {
     assert!(sample_iters >= 1);
-    let (program, layout) = build_program(scenario, alloc, machine, sample_iters, true, false);
     let mut replayer = Replayer::new(machine.clone());
     if let Some((amp, seed)) = noise {
         replayer = replayer.with_noise(amp, seed);
     }
+    // Both programs share the SIMPIC blocks, and each is freed right
+    // after its replay, so the two are never alive together.
+    let aggregates = aggregate_secs(scenario, alloc, machine);
+    let build = |include_cus| {
+        build_program_with(
+            scenario,
+            alloc,
+            &aggregates,
+            machine,
+            sample_iters,
+            include_cus,
+            false,
+        )
+    };
+    let (program, layout) = build(true);
     let out = replayer.run(&program).expect("coupled program replays");
+    drop(program);
 
     let scale = scenario.density_iters as f64 / sample_iters as f64;
     let app_runtimes: Vec<f64> = layout
@@ -351,7 +400,7 @@ pub fn run_coupled_with(
     let total_runtime = out.makespan() * scale;
 
     // Coupling overhead: rerun without CU exchanges.
-    let (bare, _) = build_program(scenario, alloc, machine, sample_iters, false, false);
+    let (bare, _) = build(false);
     let bare_out = replayer.run(&bare).expect("bare program replays");
     let bare_total = bare_out.makespan() * scale;
     let coupling_overhead = ((total_runtime - bare_total) / total_runtime).max(0.0);
@@ -664,6 +713,7 @@ pub fn run_coupled_resilient_logged(
         let degraded = Replayer::new(machine.clone())
             .run(&program)
             .expect("shrunk program replays");
+        drop(program);
         let t_iter_degraded = degraded.makespan() / sample_iters as f64;
 
         // Restart: read the checkpoint back (priced like the write) and

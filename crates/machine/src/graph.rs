@@ -3,9 +3,10 @@
 //! [`build_task_graph`] walks a [`TraceProgram`] against a [`Machine`]
 //! and produces the [`cpx_obs::TaskGraph`] the critical-path analytics
 //! run on: one node per expanded op, program-order edges within a rank,
-//! a matched-send edge per receive (FIFO per `(src, dst, tag)`, the
-//! mailbox discipline of [`crate::des::Replayer`]), and one shared
-//! [`cpx_obs::Meet`] per collective occurrence.
+//! a matched-send edge per receive (FIFO per `(src, dst, tag)` channel,
+//! through the same channel table and queues as the mailboxes of
+//! [`crate::des::Replayer`]), and one shared [`cpx_obs::Meet`] per
+//! collective occurrence.
 //!
 //! The construction is *static* — no replay runs; matching follows from
 //! program order alone, exactly as the DES scheduler would resolve it.
@@ -17,6 +18,7 @@
 
 use cpx_obs::{Meet, Schedule, TaskGraph, TaskKind, TaskNode};
 
+use crate::channel::{ChannelFifos, ChannelTable};
 use crate::collectives::collective_time;
 use crate::des::{DesEvent, DesEventKind};
 use crate::model::Machine;
@@ -55,11 +57,10 @@ pub fn build_task_graph(
     let n = program.n_ranks();
     let mut nodes: Vec<TaskNode> = Vec::new();
 
-    // Sends per (src, dst, tag), in sender program order — exactly the
-    // DES mailbox FIFO, because each key has a single sender.
-    use std::collections::HashMap;
-    let mut send_queues: HashMap<(usize, usize, u32), std::collections::VecDeque<usize>> =
-        HashMap::new();
+    // Send nodes per channel, in sender program order — exactly the DES
+    // mailbox FIFO, because each channel has a single sender.
+    let channels = ChannelTable::new(program);
+    let mut send_queues: ChannelFifos<usize> = ChannelFifos::new(channels.len());
     // Collective occurrences: per group, per occurrence index, the
     // member entries in rank-walk order.
     struct Entry {
@@ -77,109 +78,108 @@ pub fn build_task_graph(
         let mut occ_counter = vec![0usize; program.groups.len()];
         // Expanded-op walk (Repeat bodies are not nested, like the DES
         // cursor assumes).
-        let mut walk =
-            |op: &Op,
-             nodes: &mut Vec<TaskNode>,
-             send_queues: &mut HashMap<(usize, usize, u32), std::collections::VecDeque<usize>>,
-             occurrences: &mut Vec<Vec<Vec<Entry>>>,
-             prev: &mut Option<usize>,
-             phase: &mut u16|
-             -> Result<(), String> {
-                match *op {
-                    Op::Phase(p) => {
-                        *phase = p;
-                    }
-                    Op::Compute(cost) => {
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            kind: TaskKind::Compute,
-                            dur: machine.kernel_time(cost),
-                            transfer: 0.0,
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        *prev = Some(id);
-                    }
-                    Op::ComputeSecs(secs) => {
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            kind: TaskKind::Compute,
-                            dur: secs,
-                            transfer: 0.0,
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        *prev = Some(id);
-                    }
-                    Op::Send { dst, bytes, tag } => {
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            kind: TaskKind::Send {
-                                dst,
-                                tag,
-                                bytes: bytes as u64,
-                            },
-                            dur: machine.send_overhead,
-                            transfer: machine.p2p_time(rank, dst, bytes),
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        send_queues
-                            .entry((rank, dst, tag))
-                            .or_default()
-                            .push_back(id);
-                        *prev = Some(id);
-                    }
-                    Op::Recv { src, tag } => {
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            kind: TaskKind::Recv { src, tag },
-                            dur: 0.0,
-                            transfer: 0.0,
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        *prev = Some(id);
-                    }
-                    Op::Collective { kind, group, bytes } => {
-                        if group >= program.groups.len() {
-                            return Err(format!("rank {rank}: unknown group {group}"));
-                        }
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            // Meet index patched after the walk.
-                            kind: TaskKind::Collective { meet: usize::MAX },
-                            dur: 0.0,
-                            transfer: 0.0,
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        let occ = occ_counter[group];
-                        occ_counter[group] += 1;
-                        if occurrences[group].len() <= occ {
-                            occurrences[group].resize_with(occ + 1, Vec::new);
-                        }
-                        occurrences[group][occ].push(Entry {
-                            node: id,
-                            kind,
-                            bytes,
-                        });
-                        *prev = Some(id);
-                    }
-                    Op::Repeat { .. } => unreachable!("expanded by caller"),
+        let mut walk = |op: &Op,
+                        nodes: &mut Vec<TaskNode>,
+                        send_queues: &mut ChannelFifos<usize>,
+                        occurrences: &mut Vec<Vec<Vec<Entry>>>,
+                        prev: &mut Option<usize>,
+                        phase: &mut u16|
+         -> Result<(), String> {
+            match *op {
+                Op::Phase(p) => {
+                    *phase = p;
                 }
-                Ok(())
-            };
+                Op::Compute(cost) => {
+                    let id = nodes.len();
+                    nodes.push(TaskNode {
+                        rank,
+                        phase: *phase,
+                        kind: TaskKind::Compute,
+                        dur: machine.kernel_time(cost),
+                        transfer: 0.0,
+                        prev: *prev,
+                        matched_send: None,
+                    });
+                    *prev = Some(id);
+                }
+                Op::ComputeSecs(secs) => {
+                    let id = nodes.len();
+                    nodes.push(TaskNode {
+                        rank,
+                        phase: *phase,
+                        kind: TaskKind::Compute,
+                        dur: secs,
+                        transfer: 0.0,
+                        prev: *prev,
+                        matched_send: None,
+                    });
+                    *prev = Some(id);
+                }
+                Op::Send { dst, bytes, tag } => {
+                    let id = nodes.len();
+                    nodes.push(TaskNode {
+                        rank,
+                        phase: *phase,
+                        kind: TaskKind::Send {
+                            dst,
+                            tag,
+                            bytes: bytes as u64,
+                        },
+                        dur: machine.send_overhead,
+                        transfer: machine.p2p_time(rank, dst, bytes),
+                        prev: *prev,
+                        matched_send: None,
+                    });
+                    let ch = channels
+                        .id(rank, dst, tag)
+                        .expect("every send has a channel");
+                    send_queues.push(ch, id);
+                    *prev = Some(id);
+                }
+                Op::Recv { src, tag } => {
+                    let id = nodes.len();
+                    nodes.push(TaskNode {
+                        rank,
+                        phase: *phase,
+                        kind: TaskKind::Recv { src, tag },
+                        dur: 0.0,
+                        transfer: 0.0,
+                        prev: *prev,
+                        matched_send: None,
+                    });
+                    *prev = Some(id);
+                }
+                Op::Collective { kind, group, bytes } => {
+                    if group >= program.groups.len() {
+                        return Err(format!("rank {rank}: unknown group {group}"));
+                    }
+                    let id = nodes.len();
+                    nodes.push(TaskNode {
+                        rank,
+                        phase: *phase,
+                        // Meet index patched after the walk.
+                        kind: TaskKind::Collective { meet: usize::MAX },
+                        dur: 0.0,
+                        transfer: 0.0,
+                        prev: *prev,
+                        matched_send: None,
+                    });
+                    let occ = occ_counter[group];
+                    occ_counter[group] += 1;
+                    if occurrences[group].len() <= occ {
+                        occurrences[group].resize_with(occ + 1, Vec::new);
+                    }
+                    occurrences[group][occ].push(Entry {
+                        node: id,
+                        kind,
+                        bytes,
+                    });
+                    *prev = Some(id);
+                }
+                Op::Repeat { .. } => unreachable!("expanded by caller"),
+            }
+            Ok(())
+        };
 
         for op in &program.traces[rank].ops {
             match op {
@@ -215,9 +215,9 @@ pub fn build_task_graph(
     for id in 0..nodes.len() {
         if let TaskKind::Recv { src, tag } = nodes[id].kind {
             let rank = nodes[id].rank;
-            let send = send_queues
-                .get_mut(&(src, rank, tag))
-                .and_then(|q| q.pop_front())
+            let send = channels
+                .id(src, rank, tag)
+                .and_then(|ch| send_queues.pop(ch))
                 .ok_or_else(|| {
                     format!("rank {rank}: recv from {src} tag {tag} has no matching send")
                 })?;
@@ -225,7 +225,8 @@ pub fn build_task_graph(
             nodes[id].transfer = nodes[send].transfer;
         }
     }
-    if let Some(((src, dst, tag), _)) = send_queues.iter().find(|(_, q)| !q.is_empty()) {
+    if let Some(ch) = send_queues.first_nonempty() {
+        let (src, dst, tag) = channels.key(ch);
         return Err(format!("send {src}->{dst} tag {tag} is never received"));
     }
 
