@@ -23,9 +23,9 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use crate::lock;
 
 /// Errors surfaced by fallible communication operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,7 +140,7 @@ impl Error for CommError {}
 /// clock is inside `[from, until)`, every message suffers `extra_drop`
 /// additional drop probability and its transfer time is multiplied by
 /// `delay_factor`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkDegradation {
     /// Window start (virtual seconds).
     pub from: f64,
@@ -192,7 +192,7 @@ impl LinkEvent {
 /// A seeded, serializable description of the faults to inject into a
 /// [`crate::World`] run. See the module docs for the determinism
 /// contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for all per-message fault decisions.
     pub seed: u64,
@@ -317,13 +317,6 @@ impl FaultPlan {
         self
     }
 
-    /// Set the failure-detector latency.
-    pub fn with_detect_latency(mut self, secs: f64) -> FaultPlan {
-        assert!(secs >= 0.0 && secs.is_finite());
-        self.detect_latency = secs;
-        self
-    }
-
     /// The crash schedule, sorted by rank.
     pub fn crashes(&self) -> &[(usize, f64)] {
         &self.crashes
@@ -395,7 +388,7 @@ impl FaultPlan {
 /// flips on every run, regardless of host scheduling. A *site* is any
 /// stable application-chosen identifier (array index, `(iteration,
 /// index)` hash, …).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitFlipInjector {
     /// Seed for all strike decisions.
     pub seed: u64,
@@ -487,19 +480,19 @@ pub(crate) struct DeadRegistry {
 
 impl DeadRegistry {
     pub fn mark(&self, rank: usize, at: f64) {
-        self.map.lock().entry(rank).or_insert(at);
+        lock(&self.map).entry(rank).or_insert(at);
     }
 
     pub fn time_of(&self, rank: usize) -> Option<f64> {
-        self.map.lock().get(&rank).copied()
+        lock(&self.map).get(&rank).copied()
     }
 
     pub fn mark_done(&self, rank: usize) {
-        self.done.lock().insert(rank, ());
+        lock(&self.done).insert(rank, ());
     }
 
     pub fn is_done(&self, rank: usize) -> bool {
-        self.done.lock().contains_key(&rank)
+        lock(&self.done).contains_key(&rank)
     }
 
     /// Record that rank `by` revoked group `sig`, blaming the failure
@@ -509,17 +502,49 @@ impl DeadRegistry {
     /// the same ordered-after-sends discipline as the dead map, which
     /// is what keeps revocation-driven recovery deterministic.
     pub fn revoke(&self, sig: u64, by: usize, peer: usize, at: f64) {
-        self.revoked.lock().entry((sig, by)).or_insert((peer, at));
+        lock(&self.revoked).entry((sig, by)).or_insert((peer, at));
     }
 
     pub fn revoked_by(&self, sig: u64, by: usize) -> Option<(usize, f64)> {
-        self.revoked.lock().get(&(sig, by)).copied()
+        lock(&self.revoked).get(&(sig, by)).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Injected crashes unwind as panics, so a rank can die while it
+    /// holds a registry lock. The survivors must still read and write
+    /// every map: detection, done marks and revocation all go through
+    /// here.
+    #[test]
+    fn dead_registry_survives_a_panicked_lock_holder() {
+        let reg = std::sync::Arc::new(DeadRegistry::default());
+        reg.mark(1, 0.5);
+        let dying = std::sync::Arc::clone(&reg);
+        let died = std::thread::spawn(move || {
+            let _map = lock(&dying.map);
+            let _done = lock(&dying.done);
+            let _revoked = lock(&dying.revoked);
+            panic!("rank dies holding the registry locks");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(reg.map.is_poisoned() && reg.done.is_poisoned() && reg.revoked.is_poisoned());
+
+        assert_eq!(reg.time_of(1), Some(0.5));
+        reg.mark(3, 1.5);
+        reg.mark(3, 2.0);
+        assert_eq!(reg.time_of(3), Some(1.5), "first mark wins");
+        assert_eq!(reg.time_of(4), None);
+        reg.mark_done(2);
+        assert!(reg.is_done(2) && !reg.is_done(3));
+        reg.revoke(7, 0, 3, 1.5);
+        reg.revoke(7, 0, 4, 9.0);
+        assert_eq!(reg.revoked_by(7, 0), Some((3, 1.5)), "first revoke wins");
+        assert_eq!(reg.revoked_by(7, 1), None);
+    }
 
     #[test]
     fn display_formats() {

@@ -10,7 +10,7 @@
 //! substrate the mini-apps are written against:
 //!
 //! * [`runtime::World`] spawns `n` ranks as threads and runs a closure on
-//!   each; ranks exchange typed messages over crossbeam channels.
+//!   each; ranks exchange typed messages over `std::sync::mpsc` channels.
 //! * Every rank carries a **virtual clock** ([`runtime::RankCtx::now`]).
 //!   Local compute is charged through the roofline cost model of
 //!   [`cpx_machine::Machine`] (never wall-clock), and a receive advances
@@ -99,6 +99,15 @@ pub use runtime::{
 };
 pub use transport::{Packet, RecvPoll, Transport};
 pub use window::Window;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m` even if a panicking thread poisoned it. Injected crashes are
+/// panics ([`fault::CrashSignal`]), so a lock a dying rank held must stay
+/// usable by the survivors.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Reduction operators for collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

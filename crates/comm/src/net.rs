@@ -40,17 +40,16 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 use cpx_obs::http::{MetricsServer, Response};
 use cpx_obs::{Json, NetStats, NetStatsSnapshot, ToJson};
 use cpx_wire::{crc32, Decoder, Encoder, WireError};
 
 use crate::backoff::BackoffPolicy;
+use crate::lock;
 use crate::payload::Payload;
 use crate::transport::{Packet, RecvPoll, Transport};
 
@@ -547,7 +546,7 @@ impl NetShared {
             // A write error means the peer is gone; the reader/monitor
             // will declare it dead. The message vanishes exactly as it
             // would on a real network.
-            if peer.writer.lock().write_all(bytes).is_ok() {
+            if lock(&peer.writer).write_all(bytes).is_ok() {
                 self.stats.frame_sent(node, bytes.len());
             }
         }
@@ -569,7 +568,7 @@ impl NetShared {
     }
 
     fn mark_dead(&self, rank: usize, at: f64) {
-        self.dead.lock().entry(rank).or_insert(at);
+        lock(&self.dead).entry(rank).or_insert(at);
     }
 
     /// Declare every unfinished rank of `node` dead at the node's last
@@ -582,17 +581,17 @@ impl NetShared {
             return;
         }
         let at = peer.vclock.get();
-        let done = self.done.lock();
+        let done = lock(&self.done);
         for &rank in &self.node_ranks[node] {
             if !done.contains_key(&rank) {
-                self.dead.lock().entry(rank).or_insert(at);
+                lock(&self.dead).entry(rank).or_insert(at);
             }
         }
     }
 
     fn absorb(&self, from_node: usize, frame: Frame) {
         if let Some(peer) = self.peers.get(from_node).and_then(|p| p.as_ref()) {
-            *peer.last_seen.lock() = Instant::now();
+            *lock(&peer.last_seen) = Instant::now();
         }
         match frame {
             Frame::Packet { dst, pkt } => {
@@ -609,11 +608,10 @@ impl NetShared {
             }
             Frame::Dead { rank, at } => self.mark_dead(rank as usize, at),
             Frame::Done { rank } => {
-                self.done.lock().insert(rank as usize, ());
+                lock(&self.done).insert(rank as usize, ());
             }
             Frame::Revoke { sig, by, peer, at } => {
-                self.revoked
-                    .lock()
+                lock(&self.revoked)
                     .entry((sig, by as usize))
                     .or_insert((peer as usize, at));
             }
@@ -631,7 +629,7 @@ impl NetShared {
                 self.write_to(from_node, &pong);
             }
             Frame::Pong { nonce, .. } => {
-                if let Some((peer, launched)) = self.pings.lock().remove(&nonce) {
+                if let Some((peer, launched)) = lock(&self.pings).remove(&nonce) {
                     let us = launched.elapsed().as_micros().min(u64::MAX as u128) as u64;
                     self.stats.rtt_sample(peer, us);
                 }
@@ -648,7 +646,7 @@ impl NetShared {
             return;
         }
         {
-            let mut pings = self.pings.lock();
+            let mut pings = lock(&self.pings);
             pings.retain(|_, (_, launched)| launched.elapsed() < Duration::from_secs(5));
         }
         for nd in 0..self.peers.len() {
@@ -659,7 +657,7 @@ impl NetShared {
                 continue;
             }
             let nonce = self.ping_nonce.fetch_add(1, Ordering::Relaxed);
-            self.pings.lock().insert(nonce, (nd, Instant::now()));
+            lock(&self.pings).insert(nonce, (nd, Instant::now()));
             let ping = encode_frame(&Frame::Ping {
                 node: self.node as u32,
                 nonce,
@@ -715,22 +713,20 @@ impl Transport for TcpTransport {
     }
 
     fn dead_time_of(&self, rank: usize) -> Option<f64> {
-        self.shared.dead.lock().get(&rank).copied()
+        lock(&self.shared.dead).get(&rank).copied()
     }
 
     fn mark_done(&mut self, rank: usize) {
-        self.shared.done.lock().insert(rank, ());
+        lock(&self.shared.done).insert(rank, ());
         self.shared.broadcast(&Frame::Done { rank: rank as u32 });
     }
 
     fn is_done(&self, rank: usize) -> bool {
-        self.shared.done.lock().contains_key(&rank)
+        lock(&self.shared.done).contains_key(&rank)
     }
 
     fn revoke(&mut self, sig: u64, by: usize, peer: usize, at: f64) {
-        self.shared
-            .revoked
-            .lock()
+        lock(&self.shared.revoked)
             .entry((sig, by))
             .or_insert((peer, at));
         self.shared.broadcast(&Frame::Revoke {
@@ -742,7 +738,7 @@ impl Transport for TcpTransport {
     }
 
     fn revoked_by(&self, sig: u64, by: usize) -> Option<(usize, f64)> {
-        self.shared.revoked.lock().get(&(sig, by)).copied()
+        lock(&self.shared.revoked).get(&(sig, by)).copied()
     }
 
     fn finish(&mut self) {
@@ -877,7 +873,7 @@ impl NetMesh {
         let mut mailboxes = HashMap::new();
         let mut inboxes = HashMap::new();
         for &rank in &node_ranks[node] {
-            let (tx, rx) = unbounded::<Packet>();
+            let (tx, rx) = channel::<Packet>();
             mailboxes.insert(rank, tx);
             inboxes.insert(rank, rx);
         }
@@ -975,7 +971,7 @@ impl NetMesh {
                                     {
                                         continue;
                                     }
-                                    let silent = peer.last_seen.lock().elapsed();
+                                    let silent = lock(&peer.last_seen).elapsed();
                                     if silent > HEARTBEAT_PERIOD {
                                         shared.stats.heartbeat_missed(nd);
                                     }
@@ -1066,7 +1062,7 @@ fn live_peers(shared: &NetShared) -> Vec<usize> {
 /// initial world group is generation 1; every completed revoke-shrink
 /// cycle retires one signature.
 fn generation(shared: &NetShared) -> usize {
-    let revoked = shared.revoked.lock();
+    let revoked = lock(&shared.revoked);
     let mut sigs: Vec<u64> = revoked.keys().map(|&(sig, _)| sig).collect();
     sigs.sort_unstable();
     sigs.dedup();
@@ -1092,8 +1088,8 @@ fn metrics_endpoint_json(shared: &NetShared) -> Json {
         ("node", shared.node.to_json()),
         ("generation", generation(shared).to_json()),
         ("live_peers", live_peers(shared).to_json()),
-        ("dead_ranks", shared.dead.lock().len().to_json()),
-        ("done_ranks", shared.done.lock().len().to_json()),
+        ("dead_ranks", lock(&shared.dead).len().to_json()),
+        ("done_ranks", lock(&shared.done).len().to_json()),
         ("local_vclock", Json::Num(shared.local_vclock.get())),
         ("net", shared.stats.snapshot().to_json()),
     ])

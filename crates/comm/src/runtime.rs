@@ -33,12 +33,9 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Once};
+use std::sync::mpsc::channel;
+use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::unbounded;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use cpx_machine::{KernelCost, Machine};
 use cpx_obs::{RankRecorder, RankTimeline, RecoveryKind, SpanName, TraceSession};
@@ -75,10 +72,9 @@ pub(crate) struct Registry {
 }
 
 /// Virtual-time accounting for one rank, returned by [`World::run`].
-/// Serializable: derives the serde markers and implements the
-/// workspace's real JSON path ([`cpx_obs::ToJson`] in
-/// [`crate::serialize`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+/// Serializable through the workspace's JSON path ([`cpx_obs::ToJson`]
+/// in [`crate::serialize`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimeReport {
     /// Final virtual clock (the rank's elapsed virtual time).
     pub elapsed: f64,
@@ -103,7 +99,6 @@ pub struct TimeReport {
 }
 
 /// How one rank's execution ended under [`World::run_with_plan`].
-#[derive(Serialize)]
 pub enum RankOutcome<T> {
     /// The rank program ran to completion.
     Completed(T),
@@ -342,12 +337,6 @@ impl RankCtx {
     #[inline]
     pub fn obs_count(&mut self, name: &str, n: u64) {
         self.obs.count(name, n);
-    }
-
-    /// Is span recording live on this rank?
-    #[inline]
-    pub fn obs_on(&self) -> bool {
-        self.obs.is_on()
     }
 
     /// Record a shrink-recovery protocol step at the current virtual
@@ -992,28 +981,7 @@ impl World {
         T: Send + 'static,
         F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     {
-        self.run_with_plan(n, FaultPlan::default(), f)
-            .into_iter()
-            .enumerate()
-            .map(|(rank, run)| match run.outcome {
-                RankOutcome::Completed(t) => (t, run.report),
-                RankOutcome::Panicked(payload) => panic::resume_unwind(payload),
-                RankOutcome::Failed(e) => panic!("rank {rank} failed: {e}"),
-                RankOutcome::Crashed { at } => {
-                    panic!("rank {rank} crashed at t={at:.6}s (fault plan)")
-                }
-            })
-            .collect()
-    }
-
-    /// Run `f` on `n` ranks without faults, returning per-rank
-    /// [`RankOutcome`]s instead of re-raising panics.
-    pub fn run_outcomes<T, F>(&self, n: usize, f: F) -> Vec<RankRun<T>>
-    where
-        T: Send + 'static,
-        F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
-    {
-        self.run_with_plan(n, FaultPlan::default(), f)
+        completed_or_reraise(self.run_with_plan(n, FaultPlan::default(), f))
     }
 
     /// Run `f` on `n` ranks under a [`FaultPlan`]. Every rank gets an
@@ -1027,7 +995,7 @@ impl World {
         T: Send + 'static,
         F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     {
-        self.run_with_plan_inner(n, plan, false, false, f).0
+        self.run_with_plan_full(n, plan, false, false, f).0
     }
 
     /// [`World::run_with_plan`] with communication event logging on:
@@ -1059,20 +1027,8 @@ impl World {
         T: Send + 'static,
         F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     {
-        let (runs, session) = self.run_with_plan_inner(n, FaultPlan::default(), true, false, f);
-        let results = runs
-            .into_iter()
-            .enumerate()
-            .map(|(rank, run)| match run.outcome {
-                RankOutcome::Completed(t) => (t, run.report),
-                RankOutcome::Panicked(payload) => panic::resume_unwind(payload),
-                RankOutcome::Failed(e) => panic!("rank {rank} failed: {e}"),
-                RankOutcome::Crashed { at } => {
-                    panic!("rank {rank} crashed at t={at:.6}s (fault plan)")
-                }
-            })
-            .collect();
-        (results, session)
+        let (runs, session, _) = self.run_with_plan_full(n, FaultPlan::default(), true, false, f);
+        (completed_or_reraise(runs), session)
     }
 
     /// [`World::run_with_plan`] with span recording on. Crashed and
@@ -1088,22 +1044,7 @@ impl World {
         T: Send + 'static,
         F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     {
-        self.run_with_plan_inner(n, plan, true, false, f)
-    }
-
-    fn run_with_plan_inner<T, F>(
-        &self,
-        n: usize,
-        plan: FaultPlan,
-        traced: bool,
-        logged: bool,
-        f: F,
-    ) -> (Vec<RankRun<T>>, TraceSession)
-    where
-        T: Send + 'static,
-        F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
-    {
-        let (runs, session, _) = self.run_with_plan_full(n, plan, traced, logged, f);
+        let (runs, session, _) = self.run_with_plan_full(n, plan, true, false, f);
         (runs, session)
     }
 
@@ -1123,7 +1064,7 @@ impl World {
         if !plan.is_trivial() {
             install_quiet_fault_hook();
         }
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded::<Packet>()).unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::<Packet>()).unzip();
         let senders = Arc::new(senders);
         let dead = Arc::new(DeadRegistry::default());
         let endpoints: Vec<(usize, Box<dyn Transport>)> = receivers
@@ -1158,6 +1099,23 @@ impl World {
         }
         (runs, TraceSession::new(lanes), log)
     }
+}
+
+/// Each rank's value and report, re-raising the first rank (in rank
+/// order) that did not complete: a panic resumes with its original
+/// payload, a comm failure or scheduled crash panics with its cause.
+fn completed_or_reraise<T>(runs: Vec<RankRun<T>>) -> Vec<(T, TimeReport)> {
+    runs.into_iter()
+        .enumerate()
+        .map(|(rank, run)| match run.outcome {
+            RankOutcome::Completed(t) => (t, run.report),
+            RankOutcome::Panicked(payload) => panic::resume_unwind(payload),
+            RankOutcome::Failed(e) => panic!("rank {rank} failed: {e}"),
+            RankOutcome::Crashed { at } => {
+                panic!("rank {rank} crashed at t={at:.6}s (fault plan)")
+            }
+        })
+        .collect()
 }
 
 /// Run one rank program on an explicit set of `(rank, transport)`
@@ -1380,8 +1338,8 @@ mod tests {
     }
 
     #[test]
-    fn run_outcomes_captures_panics() {
-        let runs = world().run_outcomes(2, |ctx| {
+    fn run_with_plan_captures_panics() {
+        let runs = world().run_with_plan(2, FaultPlan::default(), |ctx| {
             if ctx.rank() == 1 {
                 panic!("boom");
             }
@@ -1594,7 +1552,9 @@ mod tests {
 
     #[test]
     fn try_send_reports_out_of_range() {
-        let runs = world().run_outcomes(1, |ctx| ctx.try_send(5, 0, vec![1.0f64]));
+        let runs = world().run_with_plan(1, FaultPlan::default(), |ctx| {
+            ctx.try_send(5, 0, vec![1.0f64])
+        });
         match &runs[0].outcome {
             RankOutcome::Completed(Err(CommError::RankOutOfRange { rank: 5, size: 1 })) => {}
             o => panic!("expected RankOutOfRange, got {o:?}"),

@@ -1,9 +1,8 @@
 //! JSON serialization for runtime result types.
 //!
-//! The vendored `serde` is a no-op marker stub (no format crate is in
-//! the offline dependency tree), so the *working* JSON path for
-//! [`TimeReport`], [`RankOutcome`] and [`CommError`] lives here, on the
-//! deterministic [`cpx_obs::Json`] value type. Reports and traces share
+//! No format crate is in the offline dependency tree, so the JSON path
+//! for [`TimeReport`], [`RankOutcome`] and [`CommError`] lives here, on
+//! the deterministic [`cpx_obs::Json`] value type. Reports and traces share
 //! this one path instead of hand-formatted strings.
 
 use cpx_obs::json::{field, FromJson, Json, JsonError, ToJson};

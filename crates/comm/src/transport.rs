@@ -7,9 +7,9 @@
 //! detection deterministic. Two backends implement it:
 //!
 //! * [`InProcTransport`] — the original single-process backend: one
-//!   crossbeam channel per rank, a process-local [`DeadRegistry`]. The
-//!   refactor is behaviour-preserving bit-for-bit; the PR 6 golden
-//!   traces are the proof.
+//!   `std::sync::mpsc` channel per rank, a process-local
+//!   [`DeadRegistry`]. The refactor is behaviour-preserving
+//!   bit-for-bit; the golden traces are the proof.
 //! * [`crate::net::TcpTransport`] — ranks grouped into OS processes
 //!   ("nodes") connected by TCP streams carrying CRC-framed wire
 //!   messages, with a heartbeat failure detector that maps a dead *node*
@@ -28,10 +28,9 @@
 //!    a receiver that observes a mark and then drains its intake has
 //!    seen every message the dead rank ever sent.
 
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
-
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::fault::DeadRegistry;
 use crate::payload::Payload;
@@ -123,9 +122,9 @@ pub trait Transport: Send {
     fn finish(&mut self) {}
 }
 
-/// The single-process backend: crossbeam channels plus a process-local
-/// [`DeadRegistry`]. This is the original runtime plumbing, verbatim,
-/// behind the trait.
+/// The single-process backend: `std::sync::mpsc` channels plus a
+/// process-local [`DeadRegistry`]. This is the original runtime
+/// plumbing, verbatim, behind the trait.
 pub(crate) struct InProcTransport {
     senders: Arc<Vec<Sender<Packet>>>,
     inbox: Receiver<Packet>,

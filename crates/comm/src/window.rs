@@ -12,13 +12,12 @@
 //! timestamp between ranks; ordering is the caller's responsibility via
 //! [`Window::fence`], exactly as with real `MPI_Win_fence` epochs.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use cpx_machine::KernelCost;
 
 use crate::group::Group;
+use crate::lock;
 use crate::runtime::RankCtx;
 
 /// A shared-memory window of `f64` values over a group of node-local
@@ -52,7 +51,7 @@ impl Window {
                 .wrapping_add(r as u128 + 1);
         }
         let data = {
-            let mut map = ctx.registry.map.lock();
+            let mut map = lock(&ctx.registry.map);
             let entry = map
                 .entry(key)
                 .or_insert_with(|| Arc::new(RwLock::new(vec![0.0f64; len])) as Arc<_>);
@@ -61,7 +60,7 @@ impl Window {
                 .expect("window key collision with different type")
         };
         assert_eq!(
-            data.read().len(),
+            data.read().unwrap_or_else(PoisonError::into_inner).len(),
             len,
             "window created with inconsistent length"
         );
@@ -84,7 +83,7 @@ impl Window {
     pub fn put(&self, ctx: &mut RankCtx, offset: usize, values: &[f64]) {
         assert!(offset + values.len() <= self.len, "put out of bounds");
         ctx.compute(KernelCost::bytes(values.len() as f64 * 8.0));
-        let mut guard = self.data.write();
+        let mut guard = self.data.write().unwrap_or_else(PoisonError::into_inner);
         guard[offset..offset + values.len()].copy_from_slice(values);
     }
 
@@ -92,7 +91,7 @@ impl Window {
     pub fn get(&self, ctx: &mut RankCtx, offset: usize, count: usize) -> Vec<f64> {
         assert!(offset + count <= self.len, "get out of bounds");
         ctx.compute(KernelCost::bytes(count as f64 * 8.0));
-        let guard = self.data.read();
+        let guard = self.data.read().unwrap_or_else(PoisonError::into_inner);
         guard[offset..offset + count].to_vec()
     }
 
@@ -101,7 +100,7 @@ impl Window {
     pub fn fetch_add(&self, ctx: &mut RankCtx, offset: usize, delta: f64) -> f64 {
         assert!(offset < self.len, "fetch_add out of bounds");
         ctx.compute(KernelCost::bytes(16.0));
-        let mut guard = self.data.write();
+        let mut guard = self.data.write().unwrap_or_else(PoisonError::into_inner);
         let prev = guard[offset];
         guard[offset] += delta;
         prev

@@ -26,12 +26,11 @@ use cpx_mgcfd::MgCfdTraceModel;
 use cpx_obs::json::{field, FromJson, Json, JsonError, ToJson};
 use cpx_obs::TraceSession;
 use cpx_perfmodel::Allocation;
-use serde::{Deserialize, Serialize};
 
 use crate::instance::{AppKind, Scenario};
 
 /// Result of a coupled virtual run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoupledRun {
     /// Per-instance runtime over the *full* scenario window (scaled
     /// from the sampled iterations), in scenario app order.
@@ -537,12 +536,17 @@ pub fn coupled_program_phased(
     build_program(scenario, alloc, machine, sample_iters, true, true)
 }
 
-/// Coordinated-checkpoint cost: every solver rank drains its state (the
-/// five conservative variables per local cell, bandwidth-bound at twice
-/// the memory traffic) and the world closes with a consistency-marker
-/// allreduce. Replayed as its own trace so the price reflects the
-/// machine model, not a hand constant.
-fn checkpoint_secs(scenario: &Scenario, alloc: &Allocation, machine: &Machine) -> f64 {
+/// Cost of `passes` bandwidth-bound passes over the solver state (the
+/// five conservative variables per local cell) on every solver rank,
+/// closed by an 8-byte world allreduce. Replayed as its own trace so the
+/// price reflects the machine model, not a hand constant. The
+/// coordinated checkpoint drains the state at twice the memory traffic
+/// (`passes = 2.0`) and closes with a consistency-marker allreduce. The
+/// armed detector layer's per-iteration ABFT scrub / invariant scan is
+/// one pass (`passes = 1.0`) plus the verdict allreduce: one extra pass
+/// against the many a flux evaluation makes, which keeps the measured
+/// `abft_overhead` under the paper-grade 10% bound.
+fn state_pass_secs(scenario: &Scenario, alloc: &Allocation, machine: &Machine, passes: f64) -> f64 {
     let world: usize = alloc.app_ranks.iter().sum::<usize>() + alloc.cu_ranks.iter().sum::<usize>();
     let mut program = TraceProgram::new(world);
     let everyone = program.add_group((0..world).collect());
@@ -552,7 +556,7 @@ fn checkpoint_secs(scenario: &Scenario, alloc: &Allocation, machine: &Machine) -
         for _ in 0..p {
             program
                 .rank(rank)
-                .compute(cpx_machine::KernelCost::bytes(state_share * 2.0));
+                .compute(cpx_machine::KernelCost::bytes(state_share * passes));
             program
                 .rank(rank)
                 .collective(CollectiveKind::Allreduce, everyone, 8);
@@ -566,44 +570,7 @@ fn checkpoint_secs(scenario: &Scenario, alloc: &Allocation, machine: &Machine) -
     }
     Replayer::new(machine.clone())
         .run(&program)
-        .expect("checkpoint trace replays")
-        .makespan()
-}
-
-/// Per-iteration cost of the armed detector layer: every solver rank
-/// streams its state once (the ABFT column-sum scrub / invariant scan
-/// is one bandwidth-bound pass over the five conservative variables per
-/// local cell) and the world agrees on the verdict with an 8-byte
-/// allreduce. Replayed as a trace so the price comes from the machine
-/// model — this is the `abft_overhead` the report quantifies against
-/// coverage, and it is what keeps the measured overhead under the
-/// paper-grade 10% bound: one extra state pass against the many passes
-/// a flux evaluation already makes.
-fn abft_check_secs(scenario: &Scenario, alloc: &Allocation, machine: &Machine) -> f64 {
-    let world: usize = alloc.app_ranks.iter().sum::<usize>() + alloc.cu_ranks.iter().sum::<usize>();
-    let mut program = TraceProgram::new(world);
-    let everyone = program.add_group((0..world).collect());
-    let mut rank = 0usize;
-    for (app, &p) in scenario.apps.iter().zip(&alloc.app_ranks) {
-        let state_share = app.cells / p as f64 * 5.0 * 8.0;
-        for _ in 0..p {
-            program
-                .rank(rank)
-                .compute(cpx_machine::KernelCost::bytes(state_share));
-            program
-                .rank(rank)
-                .collective(CollectiveKind::Allreduce, everyone, 8);
-            rank += 1;
-        }
-    }
-    for r in rank..world {
-        program
-            .rank(r)
-            .collective(CollectiveKind::Allreduce, everyone, 8);
-    }
-    Replayer::new(machine.clone())
-        .run(&program)
-        .expect("abft check trace replays")
+        .expect("state-pass trace replays")
         .makespan()
 }
 
@@ -652,7 +619,7 @@ pub fn run_coupled_resilient_logged(
 
     let iters = scenario.density_iters;
     let k = fault.checkpoint_interval.max(1);
-    let ckpt = checkpoint_secs(scenario, alloc, machine);
+    let ckpt = state_pass_secs(scenario, alloc, machine, 2.0);
     let t_iter = clean.total_runtime / iters as f64;
 
     // Stale CU exchanges: the payload is lost in flight, so the target
@@ -741,7 +708,7 @@ pub fn run_coupled_resilient_logged(
     // policy prices its recovery. Disarmed, events propagate silently —
     // no detection, no recovery, no overhead (the coverage baseline).
     let abft_overhead = if fault.abft {
-        abft_check_secs(scenario, alloc, machine) * iters as f64
+        state_pass_secs(scenario, alloc, machine, 1.0) * iters as f64
     } else {
         0.0
     };

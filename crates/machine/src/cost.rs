@@ -7,12 +7,11 @@
 //! virtual testbed deterministic and independent of the machine the
 //! reproduction happens to run on.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
 /// Work performed by one rank in one computational phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KernelCost {
     /// Double-precision floating-point operations.
     pub flops: f64,

@@ -188,17 +188,6 @@ impl ReplayOutcome {
         self.finish.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Mean fraction of the makespan ranks spent computing — a crude
-    /// whole-program efficiency measure.
-    pub fn compute_fraction(&self) -> f64 {
-        let span = self.makespan();
-        if span == 0.0 {
-            return 1.0;
-        }
-        let mean: f64 = self.compute_time.iter().sum::<f64>() / self.compute_time.len() as f64;
-        mean / span
-    }
-
     /// Max finish time over a subset of ranks (an app instance's runtime
     /// inside a coupled program).
     pub fn makespan_of(&self, ranks: &[usize]) -> f64 {

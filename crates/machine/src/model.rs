@@ -12,12 +12,10 @@
 //! targets the *shape* of the scaling curves, which is governed by the
 //! ratios between these constants.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::KernelCost;
 
 /// Description of a homogeneous cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     /// Human-readable machine name (appears in reports).
     pub name: String,

@@ -12,8 +12,6 @@
 //! matrix row distributions), which is what lets the testbed scale to
 //! 40,000 ranks on a laptop.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::KernelCost;
 
 /// Identifier of a rank group registered in a [`TraceProgram`].
@@ -24,7 +22,7 @@ pub type GroupId = usize;
 pub type PhaseId = u16;
 
 /// The collective operations the testbed models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
     /// Synchronisation only.
     Barrier,
@@ -45,7 +43,7 @@ pub enum CollectiveKind {
 }
 
 /// One event in a rank's trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Local computation described by a roofline cost.
     Compute(KernelCost),
@@ -73,7 +71,7 @@ pub enum Op {
 }
 
 /// The trace of a single rank.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankTrace {
     /// Ordered events.
     pub ops: Vec<Op>,
@@ -138,7 +136,7 @@ impl RankTrace {
 }
 
 /// A complete multi-rank program.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceProgram {
     /// Per-rank traces; `traces.len()` is the world size.
     pub traces: Vec<RankTrace>,

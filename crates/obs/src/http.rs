@@ -4,8 +4,9 @@
 //! background thread, and answers each from a caller-supplied handler
 //! mapping a request path to a body. It exists so every cluster node
 //! can expose `/metrics` and `/healthz` without pulling a web framework
-//! into the workspace (the vendored `serde` precedent: dependencies are
-//! stubs here, real work is std-only) — and it is deliberately minimal:
+//! into the workspace (only `rand` and `proptest` are external, and both
+//! are vendored stand-ins; real work is std-only) — and it is
+//! deliberately minimal:
 //! HTTP/1.1, `Connection: close`, one request per connection, no
 //! keep-alive, no TLS. `curl`, load balancer probes and the chaos
 //! harness's in-run probe are the target clients, not browsers.

@@ -1,8 +1,7 @@
 //! A tiny, deterministic JSON value type with writer and parser.
 //!
-//! The vendored `serde` is an offline no-op stub, so real serialization
-//! in this workspace goes through this module. Two properties matter
-//! more than speed here:
+//! The workspace has no serialization crate, so all serialization goes
+//! through this module. Two properties matter more than speed here:
 //!
 //! * **Deterministic output** — objects are ordered `Vec`s (insertion
 //!   order, which callers keep stable) and numbers format identically
@@ -104,11 +103,6 @@ impl Json {
     /// Serialize compact JSON into an [`std::io::Write`] sink.
     pub fn write_to<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
         out.write_all(self.write().as_bytes())
-    }
-
-    /// Serialize pretty JSON into an [`std::io::Write`] sink.
-    pub fn write_pretty_to<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        out.write_all(self.write_pretty().as_bytes())
     }
 
     fn write_into(&self, out: &mut String) {

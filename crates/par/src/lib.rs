@@ -2,8 +2,7 @@
 //!
 //! Deterministic shared-memory parallel execution for the workspace's
 //! hot kernels (SpMV, SpGEMM, hybrid Gauss–Seidel, the SIMPIC particle
-//! push, the pressure spray update), built on vendored `crossbeam`
-//! scoped threads.
+//! push, the pressure spray update), built on `std::thread::scope`.
 //!
 //! ## Determinism contract
 //!
@@ -169,7 +168,7 @@ impl ParPool {
                 .collect();
         }
         let mut out: Vec<Option<T>> = (0..chunks).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let f = &f;
             let handles: Vec<_> = (1..workers)
                 .map(|w| {
@@ -264,7 +263,7 @@ impl ParPool {
             per_worker[i % workers].push((i, r.clone(), head));
             rest = tail;
         }
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let f = &f;
             let mut lists = per_worker.into_iter();
             let mine = lists.next().expect("worker 0 exists");
@@ -322,7 +321,7 @@ impl ParPool {
             rest_a = ta;
             rest_b = tb;
         }
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let f = &f;
             let mut lists = per_worker.into_iter();
             let mine = lists.next().expect("worker 0 exists");

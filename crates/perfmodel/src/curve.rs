@@ -14,10 +14,8 @@
 //! Algorithm 1 interrogates when it asks "how much does one more core
 //! help this instance?".
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted runtime curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeCurve {
     /// Perfectly-parallel coefficient (`A/p`).
     pub a: f64,

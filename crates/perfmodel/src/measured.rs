@@ -7,13 +7,11 @@
 //! alternative to the synthetic efficiency curves, closing the paper's
 //! loop from code optimisation to predictive model (§V).
 
-use serde::{Deserialize, Serialize};
-
 use crate::curve::RuntimeCurve;
 use crate::scale::InstanceModel;
 
 /// Measured `(threads, median_seconds)` samples for one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredScaling {
     /// Kernel name (e.g. `"spmv"`).
     pub name: String,

@@ -6,12 +6,10 @@
 //! iteration count: a 24M-cell instance running 250 timesteps costs
 //! `(24/8)·(250/25) = 30×` the base case — exactly the paper's example.
 
-use serde::{Deserialize, Serialize};
-
 use crate::curve::RuntimeCurve;
 
 /// The model of one instance (solver or coupler unit) in a coupled run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceModel {
     /// Display name.
     pub name: String,

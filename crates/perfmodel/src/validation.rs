@@ -21,12 +21,10 @@
 //! `validation_study` binary serialises a [`ValidationReport`] into
 //! `BENCH_validation.json` and gates CI on MAPE regressions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::measured::MeasuredScaling;
 
 /// One prediction joined with its measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictionPair {
     /// What was predicted (e.g. `"8 threads"` or a coupled case name).
     pub label: String,
@@ -79,7 +77,7 @@ pub fn signed_bias(pairs: &[PredictionPair]) -> f64 {
 }
 
 /// Predicted-vs-measured summary for one kernel's thread scaling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelValidation {
     /// Kernel name.
     pub name: String,
@@ -132,7 +130,7 @@ impl KernelValidation {
 }
 
 /// The whole run's validation: every kernel plus the coupled lane.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ValidationReport {
     /// Per-kernel thread-scaling validations.
     pub kernels: Vec<KernelValidation>,

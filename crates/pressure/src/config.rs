@@ -62,18 +62,6 @@ impl PressureConfig {
         self.variant = PressureVariant::Optimized;
         self
     }
-
-    /// Switch to the §V-C worst-case sensitivity variant.
-    pub fn worst_case(mut self) -> PressureConfig {
-        self.variant = PressureVariant::WorstCase;
-        self
-    }
-
-    /// Override the timestep count.
-    pub fn with_timesteps(mut self, steps: usize) -> PressureConfig {
-        self.timesteps = steps;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -187,13 +187,6 @@ impl MiniPressureSolver {
         }
     }
 
-    /// Carrier velocity at a physical position in the unit box.
-    pub fn fluid_at(&self, x: [f64; 3]) -> [f64; 3] {
-        let n = self.n;
-        let cell = |v: f64| ((v * n as f64) as usize).min(n - 1);
-        self.u[self.idx(cell(x[0]), cell(x[1]), cell(x[2]))]
-    }
-
     /// One full timestep: explicit velocity relaxation, projection,
     /// spray update.
     pub fn step(&mut self, dt: f64) {

@@ -79,12 +79,6 @@ impl SimpicConfig {
             ..self.clone()
         }
     }
-
-    /// Override the timestep count.
-    pub fn with_timesteps(mut self, steps: usize) -> SimpicConfig {
-        self.timesteps = steps;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -133,15 +133,6 @@ impl LayoutMatrix {
         }
     }
 
-    /// Wrap a CSR with no prepared views (plain CSR dispatch).
-    pub fn csr_only(csr: Csr) -> LayoutMatrix {
-        LayoutMatrix {
-            csr,
-            sell: None,
-            sell_tail: None,
-        }
-    }
-
     /// Additionally prepare the tail view for
     /// [`MatRef::spmv_identity_top_p`] with this `k`.
     pub fn prepare_identity_top(&mut self, k: usize, policy: &KernelPolicy) {
@@ -160,11 +151,6 @@ impl LayoutMatrix {
     #[inline]
     pub fn sell(&self) -> Option<&SellCSigma> {
         self.sell.as_ref()
-    }
-
-    /// Take the CSR back out (drops the prepared views).
-    pub fn into_csr(self) -> Csr {
-        self.csr
     }
 
     /// Borrowed view for kernel dispatch.
