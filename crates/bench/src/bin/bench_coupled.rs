@@ -22,9 +22,9 @@ fn main() {
     let models = model::build_models_with_grid(&scenario, &machine, 20.0, &[100, 400, 1600]);
     let alloc = model::allocate_scenario(&models, 1200);
     let sample_iters = 8;
-    let (names, outcome, session) = sim::trace_coupled(&scenario, &alloc, &machine, sample_iters);
-    let breakdown = outcome.phases.as_ref().expect("tracked phases");
-    let profile = PhaseProfile::coupled(&scenario, &names, breakdown);
+    let (names, outcome, breakdown, session) =
+        sim::trace_coupled(&scenario, &alloc, &machine, sample_iters);
+    let profile = PhaseProfile::coupled(&scenario, &names, &breakdown);
     let stats = phase_stats(&session);
 
     let shares = profile.shares();

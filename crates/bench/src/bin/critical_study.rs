@@ -212,8 +212,9 @@ fn main() -> ExitCode {
     // ── Happens-before graph, proven against the DES replay ────────
     let graph = build_task_graph(&program, &machine, &names).expect("coupled graph builds");
     let sched = graph.schedule(&Rescale::none()).expect("acyclic graph");
-    let (outcome, events) = Replayer::new(machine.clone())
-        .run_logged(&program)
+    let mut events = Vec::new();
+    let outcome = Replayer::new(machine.clone())
+        .run_probed(&program, &mut events)
         .expect("coupled program replays");
     assert_eq!(
         sched.makespan.to_bits(),

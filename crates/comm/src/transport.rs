@@ -6,9 +6,9 @@
 //! (dead marks, done marks, group revocations) that make peer-death
 //! detection deterministic. Two backends implement it:
 //!
-//! * [`InProcTransport`] — the original single-process backend: one
+//! * `InProcTransport` — the original single-process backend: one
 //!   `std::sync::mpsc` channel per rank, a process-local
-//!   [`DeadRegistry`]. The refactor is behaviour-preserving
+//!   `DeadRegistry`. The refactor is behaviour-preserving
 //!   bit-for-bit; the golden traces are the proof.
 //! * [`crate::net::TcpTransport`] — ranks grouped into OS processes
 //!   ("nodes") connected by TCP streams carrying CRC-framed wire

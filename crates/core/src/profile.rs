@@ -1,10 +1,9 @@
 //! Fig-5-style phase profiles.
 //!
-//! A [`PhaseProfile`] turns a replay's per-phase
-//! [`PhaseBreakdown`](cpx_machine::des::PhaseBreakdown) into the
-//! percentage table the paper's Fig 5 presents: aggregate rank-seconds
-//! of compute and communication per phase, with each phase's share of
-//! the total. Two canonical profiles:
+//! A [`PhaseProfile`] turns a replay's per-phase [`PhaseBreakdown`]
+//! into the percentage table the paper's Fig 5 presents: aggregate
+//! rank-seconds of compute and communication per phase, with each
+//! phase's share of the total. Two canonical profiles:
 //!
 //! * [`PhaseProfile::pressure_fig5`] — the pressure solver's transport /
 //!   pressure-field / spray split, with the pressure-field solve broken

@@ -21,7 +21,10 @@
 
 use cpx_coupler::layout::MpmdLayout;
 use cpx_coupler::trace::{CouplerKind, CouplerTraceModel, ExchangePhases};
-use cpx_machine::{CollectiveKind, Machine, Op, PhaseId, ReplayOutcome, Replayer, TraceProgram};
+use cpx_machine::{
+    CollectiveKind, Machine, Op, PhaseBreakdown, PhaseId, PhaseSpans, ReplayOutcome, Replayer,
+    TraceProgram,
+};
 use cpx_mgcfd::MgCfdTraceModel;
 use cpx_obs::json::{field, FromJson, Json, JsonError, ToJson};
 use cpx_obs::TraceSession;
@@ -127,7 +130,7 @@ fn surface_sample(ranks: &[usize], cu_p: usize) -> Vec<usize> {
 /// Phase-name table of the phased coupled program: index 0 is the
 /// untracked default, then one phase per app instance, then four per
 /// coupler unit (gather / search / interpolate / scatter), matching the
-/// ids [`build_program`] assigns when `phased` is set.
+/// ids `build_program` assigns when `phased` is set.
 pub fn coupled_phase_names(scenario: &Scenario) -> Vec<String> {
     let mut names = vec!["(untracked)".to_string()];
     for app in &scenario.apps {
@@ -229,20 +232,9 @@ fn build_program_with(
             match &app.kind {
                 AppKind::MgCfd(cfg) => {
                     let model = MgCfdTraceModel::new(cfg.clone());
+                    let phase = phased.then_some((1 + ai) as PhaseId);
                     let bodies = (0..p)
-                        .map(|i| {
-                            if phased {
-                                model.step_body_phased(
-                                    i,
-                                    p,
-                                    &ranks,
-                                    app_groups[ai],
-                                    (1 + ai) as PhaseId,
-                                )
-                            } else {
-                                model.step_body(i, p, &ranks, app_groups[ai])
-                            }
-                        })
+                        .map(|i| model.step_body(i, p, &ranks, app_groups[ai], phase))
                         .collect();
                     Block::Structural(bodies)
                 }
@@ -301,36 +293,26 @@ fn build_program_with(
                 // deferred rather than synchronously awaited.
                 let defer = matches!(cu.kind, CouplerKind::Steady { .. });
                 let defer_buf = if defer { Some(&mut deferred) } else { None };
-                if phased {
+                let phases = phased.then(|| {
                     let base = (1 + scenario.apps.len() + 4 * ci) as PhaseId;
-                    model.emit_exchange_phased(
-                        &mut program,
-                        &cu_ranks,
-                        &a_surface,
-                        &b_surface,
-                        machine,
-                        first,
-                        (1000 + ci * 4) as u32,
-                        defer_buf,
-                        ExchangePhases {
-                            gather: base,
-                            search: base + 1,
-                            interpolate: base + 2,
-                            scatter: base + 3,
-                        },
-                    );
-                } else {
-                    model.emit_exchange_deferred(
-                        &mut program,
-                        &cu_ranks,
-                        &a_surface,
-                        &b_surface,
-                        machine,
-                        first,
-                        (1000 + ci * 4) as u32,
-                        defer_buf,
-                    );
-                }
+                    ExchangePhases {
+                        gather: base,
+                        search: base + 1,
+                        interpolate: base + 2,
+                        scatter: base + 3,
+                    }
+                });
+                model.emit_exchange(
+                    &mut program,
+                    &cu_ranks,
+                    &a_surface,
+                    &b_surface,
+                    machine,
+                    first,
+                    (1000 + ci * 4) as u32,
+                    defer_buf,
+                    phases,
+                );
             }
         }
     }
@@ -421,29 +403,29 @@ pub fn run_coupled_with(
 }
 
 /// Replay the coupled program with full observability: every op is
-/// labelled with the phase ids of [`coupled_phase_names`], the replay
-/// tracks the per-phase compute/comm breakdown, and each rank's
-/// phase-segment timeline is recorded as a [`TraceSession`] for the
+/// labelled with the phase ids of [`coupled_phase_names`], and one
+/// replay records both the per-phase compute/comm breakdown and each
+/// rank's phase-segment timeline as a [`TraceSession`] for the
 /// Chrome-trace / flamegraph exporters. Phase markers are free in the
 /// replayer, so timings are identical to [`run_coupled`]'s program.
 ///
-/// Returns `(phase_names, outcome, session)`; `outcome.phases` is
-/// always populated.
+/// Returns `(phase_names, outcome, breakdown, session)`.
 pub fn trace_coupled(
     scenario: &Scenario,
     alloc: &Allocation,
     machine: &Machine,
     sample_iters: u64,
-) -> (Vec<String>, ReplayOutcome, TraceSession) {
+) -> (Vec<String>, ReplayOutcome, PhaseBreakdown, TraceSession) {
     assert!(sample_iters >= 1);
     let names = coupled_phase_names(scenario);
     let (program, _) = build_program(scenario, alloc, machine, sample_iters, true, true);
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let (out, session) = Replayer::new(machine.clone())
-        .track_phases(names.len())
-        .run_traced(&program, &name_refs)
+    let mut probe = (PhaseBreakdown::new(names.len()), PhaseSpans::new(&names));
+    let out = Replayer::new(machine.clone())
+        .run_probed(&program, &mut probe)
         .expect("phased coupled program replays");
-    (names, out, session)
+    let (breakdown, spans) = probe;
+    let session = spans.into_session(&out.finish);
+    (names, out, breakdown, session)
 }
 
 /// One recorded resilience decision of a resilient coupled run (see
@@ -884,7 +866,7 @@ mod tests {
         let (scenario, alloc) = small_alloc(2000);
         let m = machine();
         let plain = run_coupled(&scenario, &alloc, &m, 20);
-        let (names, out, session) = trace_coupled(&scenario, &alloc, &m, 20);
+        let (names, out, phases, session) = trace_coupled(&scenario, &alloc, &m, 20);
         // Phase markers are free: identical coupled timing.
         let scale = scenario.density_iters as f64 / 20.0;
         assert_eq!(out.makespan() * scale, plain.total_runtime);
@@ -892,7 +874,6 @@ mod tests {
             names.len(),
             1 + scenario.apps.len() + 4 * scenario.cus.len()
         );
-        let phases = out.phases.as_ref().expect("tracked");
         // Every app and every CU stage carries time (steady CUs search
         // only on the first exchange, but sample 20 covers it).
         for (id, name) in names.iter().enumerate().skip(1) {

@@ -10,11 +10,11 @@
 
 use cpx_machine::{KernelCost, Machine, Op, PhaseId, Replayer, TraceProgram};
 
-/// Phase ids labelling the four stages of a CU exchange when the
-/// replay is traced ([`cpx_machine::Replayer::run_traced`] /
-/// `track_phases`). The caller picks the ids; ranks left in one of
-/// these phases should be switched back to their own phase id after
-/// the exchange.
+/// Phase ids labelling the four stages of a CU exchange, for replays
+/// observed through a phase probe ([`cpx_machine::PhaseBreakdown`],
+/// [`cpx_machine::PhaseSpans`]). The caller picks the ids; ranks left
+/// in one of these phases should be switched back to their own phase
+/// id after the exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExchangePhases {
     /// Donor-side pack/send and CU-side receive.
@@ -137,6 +137,21 @@ impl CouplerTraceModel {
     /// the CU ranks (round-robin), CU ranks remap + interpolate, then
     /// send shares to app B's surface ranks. Ops are appended to all
     /// three rank sets.
+    ///
+    /// When `deferred_b` is provided the target-side receive/unpack ops
+    /// are pushed there instead of into the program — the caller
+    /// appends them later. Steady-state couplings are *lagged*: the
+    /// receiving solver works with the previous exchange's
+    /// (time-averaged) data rather than synchronously waiting on the
+    /// donor, so a slow donor never stalls the target (§II-A).
+    ///
+    /// With `phases`, the gather / search / interpolate / scatter stages
+    /// are labelled with the supplied [`ExchangePhases`] ids so a
+    /// phase-accounting replay can attribute time to each stage. The
+    /// remap and interpolation computes are then emitted as two ops
+    /// (instead of one combined op) so they land in separate phases;
+    /// the total charged work is unchanged.
+    #[allow(clippy::too_many_arguments)]
     pub fn emit_exchange(
         &self,
         program: &mut TraceProgram,
@@ -146,94 +161,7 @@ impl CouplerTraceModel {
         machine: &Machine,
         first_exchange: bool,
         tag_base: u32,
-    ) {
-        self.emit_exchange_deferred(
-            program,
-            cu_ranks,
-            a_surface,
-            b_surface,
-            machine,
-            first_exchange,
-            tag_base,
-            None,
-        );
-    }
-
-    /// As [`CouplerTraceModel::emit_exchange`], but when `deferred_b` is
-    /// provided the target-side receive/unpack ops are pushed there
-    /// instead of into the program — the caller appends them later.
-    /// Steady-state couplings are *lagged*: the receiving solver works
-    /// with the previous exchange's (time-averaged) data rather than
-    /// synchronously waiting on the donor, so a slow donor never stalls
-    /// the target (§II-A).
-    #[allow(clippy::too_many_arguments)]
-    pub fn emit_exchange_deferred(
-        &self,
-        program: &mut TraceProgram,
-        cu_ranks: &[usize],
-        a_surface: &[usize],
-        b_surface: &[usize],
-        machine: &Machine,
-        first_exchange: bool,
-        tag_base: u32,
-        deferred_b: Option<&mut Vec<(usize, Vec<Op>)>>,
-    ) {
-        self.emit_exchange_inner(
-            program,
-            cu_ranks,
-            a_surface,
-            b_surface,
-            machine,
-            first_exchange,
-            tag_base,
-            deferred_b,
-            None,
-        );
-    }
-
-    /// As [`CouplerTraceModel::emit_exchange_deferred`], labelling the
-    /// gather / search / interpolate / scatter stages with the supplied
-    /// [`ExchangePhases`] ids so a traced replay can attribute time to
-    /// each stage. The remap and interpolation computes are emitted as
-    /// two ops (instead of one combined op) so they land in separate
-    /// phases; the total charged work is unchanged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn emit_exchange_phased(
-        &self,
-        program: &mut TraceProgram,
-        cu_ranks: &[usize],
-        a_surface: &[usize],
-        b_surface: &[usize],
-        machine: &Machine,
-        first_exchange: bool,
-        tag_base: u32,
-        deferred_b: Option<&mut Vec<(usize, Vec<Op>)>>,
-        phases: ExchangePhases,
-    ) {
-        self.emit_exchange_inner(
-            program,
-            cu_ranks,
-            a_surface,
-            b_surface,
-            machine,
-            first_exchange,
-            tag_base,
-            deferred_b,
-            Some(phases),
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_exchange_inner(
-        &self,
-        program: &mut TraceProgram,
-        cu_ranks: &[usize],
-        a_surface: &[usize],
-        b_surface: &[usize],
-        machine: &Machine,
-        first_exchange: bool,
-        tag_base: u32,
-        deferred_b: Option<&mut Vec<(usize, Vec<Op>)>>,
+        mut deferred_b: Option<&mut Vec<(usize, Vec<Op>)>>,
         phases: Option<ExchangePhases>,
     ) {
         let cu_p = cu_ranks.len();
@@ -296,7 +224,6 @@ impl CouplerTraceModel {
             }
         }
         // Target surface ranks: receive + unpack (possibly deferred).
-        let mut deferred_b = deferred_b;
         for (k, &br) in b_surface.iter().enumerate() {
             let cu = cu_ranks[k % cu_p];
             let mut ops = Vec::with_capacity(3);
@@ -337,6 +264,8 @@ impl CouplerTraceModel {
             machine,
             false,
             900,
+            None,
+            None,
         );
         Replayer::new(machine.clone())
             .run(&program)
@@ -348,6 +277,7 @@ impl CouplerTraceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpx_machine::PhaseBreakdown;
 
     fn sliding(search: SearchAlgo) -> CouplerTraceModel {
         // A 150M-cell blade row's sliding plane: 0.42% of cells.
@@ -420,7 +350,7 @@ mod tests {
         let cu: Vec<usize> = (0..4).collect();
         let a: Vec<usize> = (4..12).collect();
         let b: Vec<usize> = (12..20).collect();
-        model.emit_exchange(&mut program, &cu, &a, &b, &m, true, 700);
+        model.emit_exchange(&mut program, &cu, &a, &b, &m, true, 700, None, None);
         assert!(program.validate().is_ok());
         let out = Replayer::new(m).run(&program).unwrap();
         // 8 gathers + 8 scatters.
@@ -436,22 +366,24 @@ mod tests {
         let cu: Vec<usize> = (0..4).collect();
         let a: Vec<usize> = (4..12).collect();
         let b: Vec<usize> = (12..20).collect();
-        model.emit_exchange(&mut plain, &cu, &a, &b, &m, true, 700);
+        model.emit_exchange(&mut plain, &cu, &a, &b, &m, true, 700, None, None);
         let ph = ExchangePhases {
             gather: 1,
             search: 2,
             interpolate: 3,
             scatter: 4,
         };
-        model.emit_exchange_phased(&mut phased, &cu, &a, &b, &m, true, 700, None, ph);
+        model.emit_exchange(&mut phased, &cu, &a, &b, &m, true, 700, None, Some(ph));
         assert!(phased.validate().is_ok());
         let t0 = Replayer::new(m.clone()).run(&plain).unwrap().makespan();
-        let out = Replayer::new(m).track_phases(5).run(&phased).unwrap();
+        let mut breakdown = PhaseBreakdown::new(5);
+        let out = Replayer::new(m)
+            .run_probed(&phased, &mut breakdown)
+            .unwrap();
         // Phase markers are free; splitting the remap+interp compute
         // can only move the makespan by float rounding.
         let t1 = out.makespan();
         assert!((t0 - t1).abs() <= 1e-12 * t0, "plain {t0} vs phased {t1}");
-        let breakdown = out.phases.unwrap();
         for (id, name) in [
             (1, "gather"),
             (2, "search"),

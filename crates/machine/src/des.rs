@@ -16,6 +16,16 @@
 //! Execution is a simple run-to-block scheduler over runnable ranks, so
 //! replay cost is `O(total ops)`. Replay is fully deterministic.
 //!
+//! ## Probes
+//!
+//! One event loop serves every observer. [`Replayer::run_probed`] is
+//! generic over a [`Probe`] that hears each event, phase switch and
+//! time charge; [`Replayer::run`] passes `()`, whose empty hooks compile
+//! away. The event log (`Vec<DesEvent>`), the per-phase accounting
+//! ([`PhaseBreakdown`]) and the per-rank span lanes ([`PhaseSpans`]) are
+//! probes, and a pair `(A, B)` runs two at once, so one replay can
+//! produce all three.
+//!
 //! ## Dense state
 //!
 //! The event loop touches no hash map. Before it starts, one pass over
@@ -117,11 +127,11 @@ pub enum DesEventKind {
     Finish,
 }
 
-/// One entry of the deterministic event log produced by
-/// [`Replayer::run_logged`]: which rank did what, at which virtual
-/// time. The run-to-block scheduler is deterministic, so the *global*
-/// order of these events is reproducible bit-for-bit — same program,
-/// same machine ⇒ identical log.
+/// One entry of the deterministic event log (a `Vec<DesEvent>` probe,
+/// see [`Probe`]): which rank did what, at which virtual time. The
+/// run-to-block scheduler is deterministic, so the *global* order of
+/// these events is reproducible bit-for-bit — same program, same
+/// machine ⇒ identical log.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesEvent {
     /// The rank the event happened on.
@@ -132,8 +142,88 @@ pub struct DesEvent {
     pub kind: DesEventKind,
 }
 
-/// Per-phase, per-rank time accounting (enabled via
-/// [`Replayer::track_phases`]).
+/// Observer of a replay, passed to [`Replayer::run_probed`]. Every hook
+/// has an empty default body, so the `()` probe behind
+/// [`Replayer::run`] compiles to nothing and the plain event loop
+/// carries no observation code. The replay is monomorphised per probe
+/// type; a probe only sees the run, it never steers it.
+///
+/// Provided probes: `Vec<DesEvent>` (the event log), [`PhaseBreakdown`]
+/// (per-phase compute/comm), [`PhaseSpans`] (per-rank phase timelines)
+/// and `(A, B)` (both of two probes).
+pub trait Probe {
+    /// Called once before the first op, after validation: the rank
+    /// count and the number of ops the program expands to.
+    fn begin(&mut self, _n_ranks: usize, _expanded_ops: usize) {}
+
+    /// A send, receive, collective arrival or rank finish, in global
+    /// scheduler order.
+    fn event(&mut self, _event: DesEvent) {}
+
+    /// `rank` switched to a different phase `to` at virtual time `now`.
+    fn phase(&mut self, _rank: usize, _to: PhaseId, _now: f64) {}
+
+    /// `rank` spent `dt` seconds of local compute in `phase`.
+    fn compute(&mut self, _rank: usize, _phase: PhaseId, _dt: f64) {}
+
+    /// `rank` spent `dt` seconds on communication in `phase`.
+    fn comm(&mut self, _rank: usize, _phase: PhaseId, _dt: f64) {}
+}
+
+/// The no-op probe of [`Replayer::run`].
+impl Probe for () {}
+
+/// The deterministic event log. Appends; a caller that reuses one buffer
+/// across replays clears it first. Reusing a buffer avoids the
+/// large-allocation round trip to the OS per run, which is what keeps
+/// the recorder under its <5% overhead budget. The hooks are
+/// `#[inline]` because the replay is instantiated in the caller's
+/// crate: an out-of-line push per event doubles the logging cost.
+impl Probe for Vec<DesEvent> {
+    #[inline]
+    fn begin(&mut self, n_ranks: usize, expanded_ops: usize) {
+        // One event per expanded op plus a finish per rank, so logging
+        // costs pushes, not reallocation+copy cycles.
+        let events = expanded_ops.saturating_add(n_ranks);
+        self.reserve(events.min(LOG_RESERVE_CAP));
+    }
+
+    #[inline]
+    fn event(&mut self, event: DesEvent) {
+        self.push(event);
+    }
+}
+
+/// Both probes, `A` first.
+impl<A: Probe, B: Probe> Probe for (A, B) {
+    fn begin(&mut self, n_ranks: usize, expanded_ops: usize) {
+        self.0.begin(n_ranks, expanded_ops);
+        self.1.begin(n_ranks, expanded_ops);
+    }
+
+    fn event(&mut self, event: DesEvent) {
+        self.0.event(event);
+        self.1.event(event);
+    }
+
+    fn phase(&mut self, rank: usize, to: PhaseId, now: f64) {
+        self.0.phase(rank, to, now);
+        self.1.phase(rank, to, now);
+    }
+
+    fn compute(&mut self, rank: usize, phase: PhaseId, dt: f64) {
+        self.0.compute(rank, phase, dt);
+        self.1.compute(rank, phase, dt);
+    }
+
+    fn comm(&mut self, rank: usize, phase: PhaseId, dt: f64) {
+        self.0.comm(rank, phase, dt);
+        self.1.comm(rank, phase, dt);
+    }
+}
+
+/// Per-phase, per-rank time accounting for phase ids `0..n_phases`, as
+/// a [`Probe`]; time in higher phases is not attributed.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseBreakdown {
     /// `compute[phase][rank]` — seconds of local compute attributed to
@@ -144,6 +234,14 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
+    /// An accounting probe for phase ids `0..n_phases`.
+    pub fn new(n_phases: usize) -> Self {
+        PhaseBreakdown {
+            compute: vec![Vec::new(); n_phases],
+            comm: vec![Vec::new(); n_phases],
+        }
+    }
+
     /// Max over ranks of compute + comm for `phase` — the elapsed time a
     /// profiler would attribute to that function.
     pub fn elapsed(&self, phase: usize) -> f64 {
@@ -165,6 +263,29 @@ impl PhaseBreakdown {
     }
 }
 
+impl Probe for PhaseBreakdown {
+    fn begin(&mut self, n_ranks: usize, _expanded_ops: usize) {
+        for per_rank in self.compute.iter_mut().chain(&mut self.comm) {
+            per_rank.clear();
+            per_rank.resize(n_ranks, 0.0);
+        }
+    }
+
+    #[inline]
+    fn compute(&mut self, rank: usize, phase: PhaseId, dt: f64) {
+        if let Some(per_rank) = self.compute.get_mut(phase as usize) {
+            per_rank[rank] += dt;
+        }
+    }
+
+    #[inline]
+    fn comm(&mut self, rank: usize, phase: PhaseId, dt: f64) {
+        if let Some(per_rank) = self.comm.get_mut(phase as usize) {
+            per_rank[rank] += dt;
+        }
+    }
+}
+
 /// Result of a successful replay.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
@@ -178,8 +299,6 @@ pub struct ReplayOutcome {
     pub messages: u64,
     /// Total point-to-point payload bytes.
     pub bytes: u64,
-    /// Optional per-phase accounting.
-    pub phases: Option<PhaseBreakdown>,
 }
 
 impl ReplayOutcome {
@@ -201,29 +320,34 @@ enum Blocked {
     Collective { group: usize },
 }
 
-/// Per-rank phase-segment recorder for traced replays: every maximal
-/// run of virtual time a rank spends in one phase becomes a span on
-/// that rank's timeline.
-struct DesTracer {
+/// Per-rank phase timelines, as a [`Probe`]: every maximal run of
+/// virtual time a rank spends in one phase becomes a span on that
+/// rank's lane, named after its phase (`names[id]`, falling back to
+/// `"phase {id}"`). Zero-length runs leave no span. Deterministic: same
+/// program ⇒ byte-identical session.
+#[derive(Debug, Default)]
+pub struct PhaseSpans {
     names: Vec<String>,
     recorders: Vec<RankRecorder>,
     seg_start: Vec<f64>,
+    phase: Vec<PhaseId>,
 }
 
-impl DesTracer {
-    fn new(n_ranks: usize, phase_names: &[&str]) -> Self {
-        DesTracer {
-            names: phase_names.iter().map(|s| s.to_string()).collect(),
-            recorders: (0..n_ranks).map(|_| RankRecorder::on()).collect(),
-            seg_start: vec![0.0; n_ranks],
+impl PhaseSpans {
+    /// A span recorder naming phase id `i` after `names[i]`.
+    pub fn new<S: AsRef<str>>(names: &[S]) -> Self {
+        PhaseSpans {
+            names: names.iter().map(|s| s.as_ref().to_string()).collect(),
+            ..PhaseSpans::default()
         }
     }
 
     /// Close the segment `rank` has occupied since the last phase
     /// switch (no-op for zero-length segments).
-    fn close_segment(&mut self, rank: usize, phase: PhaseId, now: f64) {
+    fn close_segment(&mut self, rank: usize, now: f64) {
         let start = self.seg_start[rank];
         if now > start {
+            let phase = self.phase[rank];
             let name = self
                 .names
                 .get(phase as usize)
@@ -234,7 +358,8 @@ impl DesTracer {
         self.seg_start[rank] = now;
     }
 
-    fn into_session(self, finish: &[f64]) -> TraceSession {
+    /// The recorded lanes, each closed at its rank's `finish` time.
+    pub fn into_session(self, finish: &[f64]) -> TraceSession {
         TraceSession::new(
             self.recorders
                 .into_iter()
@@ -242,6 +367,26 @@ impl DesTracer {
                 .map(|(rank, rec)| rec.into_timeline(rank, finish[rank]))
                 .collect(),
         )
+    }
+}
+
+impl Probe for PhaseSpans {
+    fn begin(&mut self, n_ranks: usize, _expanded_ops: usize) {
+        self.recorders = (0..n_ranks).map(|_| RankRecorder::on()).collect();
+        self.seg_start = vec![0.0; n_ranks];
+        self.phase = vec![0; n_ranks];
+    }
+
+    #[inline]
+    fn event(&mut self, event: DesEvent) {
+        if matches!(event.kind, DesEventKind::Finish) {
+            self.close_segment(event.rank as usize, event.vtime);
+        }
+    }
+
+    fn phase(&mut self, rank: usize, to: PhaseId, now: f64) {
+        self.close_segment(rank, now);
+        self.phase[rank] = to;
     }
 }
 
@@ -296,11 +441,11 @@ impl Cursor {
 const LOG_RESERVE_CAP: usize = 1 << 20;
 
 /// The discrete-event replayer. Construct with a machine, optionally
-/// enable phase tracking and system noise, then call [`Replayer::run`].
+/// enable system noise, then call [`Replayer::run`], or
+/// [`Replayer::run_probed`] to observe the replay.
 #[derive(Debug, Clone)]
 pub struct Replayer {
     machine: Machine,
-    n_phases: usize,
     /// Optional `(amplitude, seed)` system-noise model.
     noise: Option<(f64, u64)>,
 }
@@ -310,15 +455,8 @@ impl Replayer {
     pub fn new(machine: Machine) -> Self {
         Replayer {
             machine,
-            n_phases: 0,
             noise: None,
         }
-    }
-
-    /// Enable per-phase accounting for phase ids `0..n_phases`.
-    pub fn track_phases(mut self, n_phases: usize) -> Self {
-        self.n_phases = n_phases;
-        self
     }
 
     /// Enable deterministic system noise: every compute op's duration
@@ -344,62 +482,19 @@ impl Replayer {
 
     /// Replay `program`, returning per-rank timings.
     pub fn run(&self, program: &TraceProgram) -> Result<ReplayOutcome, ReplayError> {
-        self.run_inner::<false>(program, None, &mut Vec::new())
+        self.run_probed(program, &mut ())
     }
 
-    /// Replay `program` and additionally return the deterministic
-    /// event log: every send, receive, collective arrival and rank
-    /// finish, in global scheduler order, each stamped with the rank's
-    /// virtual clock. Same program + machine ⇒ bit-identical log, which
-    /// is what makes the log usable as a golden trace for record/replay
-    /// regression checks.
-    pub fn run_logged(
+    /// Replay `program`, reporting every event, phase switch and time
+    /// charge to `probe`. The probe does not change the replay: timings
+    /// are bit-identical to [`Replayer::run`]'s, and the scheduler order
+    /// is deterministic, so same program + machine ⇒ the same probe
+    /// calls in the same order (which is what makes the event log usable
+    /// as a golden trace for record/replay regression checks).
+    pub fn run_probed(
         &self,
         program: &TraceProgram,
-    ) -> Result<(ReplayOutcome, Vec<DesEvent>), ReplayError> {
-        let mut log = Vec::new();
-        let out = self.run_inner::<true>(program, None, &mut log)?;
-        Ok((out, log))
-    }
-
-    /// As [`Replayer::run_logged`], recording into a caller-provided
-    /// buffer (cleared first, capacity reserved). Reusing one buffer
-    /// across many replays avoids the large-allocation round trip to
-    /// the OS per run — the recommended shape for repeated recording,
-    /// and what keeps recorder overhead under its <5% budget.
-    pub fn run_logged_into(
-        &self,
-        program: &TraceProgram,
-        log: &mut Vec<DesEvent>,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        log.clear();
-        self.run_inner::<true>(program, None, log)
-    }
-
-    /// Replay `program` with span recording: alongside the outcome,
-    /// returns a [`TraceSession`] with one lane per rank where every
-    /// maximal single-phase stretch of virtual time is a span named
-    /// after its phase (`phase_names[id]`, falling back to `"phase
-    /// {id}"`). Deterministic: same program ⇒ byte-identical session.
-    pub fn run_traced(
-        &self,
-        program: &TraceProgram,
-        phase_names: &[&str],
-    ) -> Result<(ReplayOutcome, TraceSession), ReplayError> {
-        let mut tracer = DesTracer::new(program.n_ranks(), phase_names);
-        let out = self.run_inner::<false>(program, Some(&mut tracer), &mut Vec::new())?;
-        let session = tracer.into_session(&out.finish);
-        Ok((out, session))
-    }
-
-    // Monomorphized over `LOGGED` so the unlogged replay carries zero
-    // event-recording code in its hot loop, and the logged one records
-    // with straight-line pushes (no per-event `Option` dispatch).
-    fn run_inner<const LOGGED: bool>(
-        &self,
-        program: &TraceProgram,
-        mut tracer: Option<&mut DesTracer>,
-        log: &mut Vec<DesEvent>,
+        probe: &mut impl Probe,
     ) -> Result<ReplayOutcome, ReplayError> {
         program.validate().map_err(ReplayError::Invalid)?;
         let n = program.n_ranks();
@@ -422,20 +517,10 @@ impl Replayer {
         let mut blocked: Vec<Option<Blocked>> = vec![None; n];
         let mut done = vec![false; n];
 
-        let mut phase_compute = vec![vec![0.0f64; n]; self.n_phases];
-        let mut phase_comm = vec![vec![0.0f64; n]; self.n_phases];
-
         // Per channel: a FIFO of arrival times and the rank blocked on
         // it (`NIL` = none). Per group: the collective in progress.
         let channels = ChannelTable::new(program);
-        if LOGGED {
-            // Preallocate for the common case — one event per expanded
-            // op plus a finish per rank — so logging costs pushes, not
-            // reallocation+copy cycles (the <5% recorder-overhead
-            // budget).
-            let events = channels.expanded_ops.saturating_add(n);
-            log.reserve(events.min(LOG_RESERVE_CAP));
-        }
+        probe.begin(n, channels.expanded_ops);
         let mut mailbox: ChannelFifos<f64> = ChannelFifos::new(channels.len());
         let mut recv_waiter: Vec<u32> = vec![NIL; channels.len()];
         let mut pending_colls: Vec<PendingColl> = program
@@ -468,18 +553,6 @@ impl Replayer {
             }
         };
 
-        let charge_comm = |rank: usize,
-                           dt: f64,
-                           phase: &[PhaseId],
-                           comm_time: &mut [f64],
-                           phase_comm: &mut [Vec<f64>]| {
-            comm_time[rank] += dt;
-            let p = phase[rank] as usize;
-            if p < phase_comm.len() {
-                phase_comm[p][rank] += dt;
-            }
-        };
-
         while let Some(rank) = runnable.pop_front() {
             queued[rank] = false;
             if done[rank] || blocked[rank].is_some() {
@@ -492,16 +565,11 @@ impl Replayer {
                 let op: &Op = loop {
                     if cur.pc >= ops.len() {
                         done[rank] = true;
-                        if let Some(t) = tracer.as_deref_mut() {
-                            t.close_segment(rank, phase[rank], clock[rank]);
-                        }
-                        if LOGGED {
-                            log.push(DesEvent {
-                                rank: rank as u32,
-                                vtime: clock[rank],
-                                kind: DesEventKind::Finish,
-                            });
-                        }
+                        probe.event(DesEvent {
+                            rank: rank as u32,
+                            vtime: clock[rank],
+                            kind: DesEventKind::Finish,
+                        });
                         break 'run;
                     }
                     match &ops[cur.pc] {
@@ -547,10 +615,7 @@ impl Replayer {
                             self.machine.kernel_time(cost) * noise_factor(rank, op_counter[rank]);
                         clock[rank] += dt;
                         compute_time[rank] += dt;
-                        let p = phase[rank] as usize;
-                        if p < phase_compute.len() {
-                            phase_compute[p][rank] += dt;
-                        }
+                        probe.compute(rank, phase[rank], dt);
                         advance!();
                     }
                     Op::ComputeSecs(dt) => {
@@ -558,17 +623,12 @@ impl Replayer {
                         let dt = dt * noise_factor(rank, op_counter[rank]);
                         clock[rank] += dt;
                         compute_time[rank] += dt;
-                        let p = phase[rank] as usize;
-                        if p < phase_compute.len() {
-                            phase_compute[p][rank] += dt;
-                        }
+                        probe.compute(rank, phase[rank], dt);
                         advance!();
                     }
                     Op::Phase(p) => {
                         if p != phase[rank] {
-                            if let Some(t) = tracer.as_deref_mut() {
-                                t.close_segment(rank, phase[rank], clock[rank]);
-                            }
+                            probe.phase(rank, p, clock[rank]);
                             phase[rank] = p;
                         }
                         advance!();
@@ -576,26 +636,19 @@ impl Replayer {
                     Op::Send { dst, bytes, tag } => {
                         let arrival = clock[rank] + self.machine.p2p_time(rank, dst, bytes);
                         clock[rank] += self.machine.send_overhead;
-                        charge_comm(
-                            rank,
-                            self.machine.send_overhead,
-                            &phase,
-                            &mut comm_time,
-                            &mut phase_comm,
-                        );
+                        comm_time[rank] += self.machine.send_overhead;
+                        probe.comm(rank, phase[rank], self.machine.send_overhead);
                         messages += 1;
                         total_bytes += bytes as u64;
-                        if LOGGED {
-                            log.push(DesEvent {
-                                rank: rank as u32,
-                                vtime: clock[rank],
-                                kind: DesEventKind::Send {
-                                    dst: dst as u32,
-                                    tag,
-                                    bytes: bytes.min(u32::MAX as usize) as u32,
-                                },
-                            });
-                        }
+                        probe.event(DesEvent {
+                            rank: rank as u32,
+                            vtime: clock[rank],
+                            kind: DesEventKind::Send {
+                                dst: dst as u32,
+                                tag,
+                                bytes: bytes.min(u32::MAX as usize) as u32,
+                            },
+                        });
                         let ch = channels
                             .id(rank, dst, tag)
                             .expect("every send has a channel");
@@ -617,17 +670,16 @@ impl Replayer {
                             Some(arrival) => {
                                 let wait = (arrival - clock[rank]).max(0.0);
                                 clock[rank] += wait;
-                                charge_comm(rank, wait, &phase, &mut comm_time, &mut phase_comm);
-                                if LOGGED {
-                                    log.push(DesEvent {
-                                        rank: rank as u32,
-                                        vtime: clock[rank],
-                                        kind: DesEventKind::Recv {
-                                            src: src as u32,
-                                            tag,
-                                        },
-                                    });
-                                }
+                                comm_time[rank] += wait;
+                                probe.comm(rank, phase[rank], wait);
+                                probe.event(DesEvent {
+                                    rank: rank as u32,
+                                    vtime: clock[rank],
+                                    kind: DesEventKind::Recv {
+                                        src: src as u32,
+                                        tag,
+                                    },
+                                });
                                 advance!();
                             }
                             None => {
@@ -662,16 +714,14 @@ impl Replayer {
                         entry.max_clock = entry.max_clock.max(clock[rank]);
                         entry.max_bytes = entry.max_bytes.max(bytes);
                         entry.waiters.push((rank, clock[rank]));
-                        if LOGGED {
-                            log.push(DesEvent {
-                                rank: rank as u32,
-                                vtime: clock[rank],
-                                kind: DesEventKind::Collective {
-                                    kind,
-                                    group: group as u32,
-                                },
-                            });
-                        }
+                        probe.event(DesEvent {
+                            rank: rank as u32,
+                            vtime: clock[rank],
+                            kind: DesEventKind::Collective {
+                                kind,
+                                group: group as u32,
+                            },
+                        });
                         // Advance this rank's cursor past the collective
                         // now; it will be unblocked when the group is
                         // complete.
@@ -688,7 +738,8 @@ impl Replayer {
                             for (r, at) in entry.waiters.drain(..) {
                                 let wait = t_end - at;
                                 clock[r] = t_end;
-                                charge_comm(r, wait, &phase, &mut comm_time, &mut phase_comm);
+                                comm_time[r] += wait;
+                                probe.comm(r, phase[r], wait);
                                 if r != rank {
                                     blocked[r] = None;
                                     if !queued[r] && !done[r] {
@@ -730,22 +781,12 @@ impl Replayer {
             });
         }
 
-        let phases = if self.n_phases > 0 {
-            Some(PhaseBreakdown {
-                compute: phase_compute,
-                comm: phase_comm,
-            })
-        } else {
-            None
-        };
-
         Ok(ReplayOutcome {
             finish: clock,
             compute_time,
             comm_time,
             messages,
             bytes: total_bytes,
-            phases,
         })
     }
 }
@@ -755,6 +796,27 @@ mod tests {
     use super::*;
     use crate::cost::KernelCost;
     use crate::model::MachineBuilder;
+
+    /// Replay with an event log.
+    fn replay_log(
+        rep: &Replayer,
+        p: &TraceProgram,
+    ) -> Result<(ReplayOutcome, Vec<DesEvent>), ReplayError> {
+        let mut log = Vec::new();
+        rep.run_probed(p, &mut log).map(|out| (out, log))
+    }
+
+    /// Replay with phase spans named after `names`.
+    fn replay_spans(
+        rep: &Replayer,
+        p: &TraceProgram,
+        names: &[&str],
+    ) -> (ReplayOutcome, TraceSession) {
+        let mut spans = PhaseSpans::new(names);
+        let out = rep.run_probed(p, &mut spans).unwrap();
+        let session = spans.into_session(&out.finish);
+        (out, session)
+    }
 
     fn simple_machine() -> Machine {
         MachineBuilder::new("unit")
@@ -947,14 +1009,16 @@ mod tests {
             p.rank(r).phase(1);
             p.rank(r).compute(KernelCost::flops(2.0));
         }
-        let out = Replayer::new(simple_machine())
-            .track_phases(2)
-            .run(&p)
+        let mut probe = (PhaseBreakdown::new(2), PhaseBreakdown::new(1));
+        Replayer::new(simple_machine())
+            .run_probed(&p, &mut probe)
             .unwrap();
-        let ph = out.phases.unwrap();
+        let (ph, first_only) = probe;
         assert!((ph.total_compute(0) - 2.0).abs() < 1e-12);
         assert!((ph.total_compute(1) - 4.0).abs() < 1e-12);
         assert!((ph.elapsed(1) - 2.0).abs() < 1e-12);
+        // Phases past the tracked range are not attributed.
+        assert_eq!(first_only.compute, vec![vec![1.0, 1.0]]);
     }
 
     #[test]
@@ -967,7 +1031,7 @@ mod tests {
             p.rank(r).compute(KernelCost::flops(2.0));
         }
         let rep = Replayer::new(simple_machine());
-        let (out, session) = rep.run_traced(&p, &["alpha", "beta"]).unwrap();
+        let (out, session) = replay_spans(&rep, &p, &["alpha", "beta"]);
         assert_eq!(session.lanes.len(), 2);
         for lane in &session.lanes {
             assert_eq!(lane.spans.len(), 2);
@@ -979,7 +1043,7 @@ mod tests {
         let plain = rep.run(&p).unwrap();
         assert_eq!(out.finish, plain.finish);
         // And the session itself is deterministic.
-        let (_, again) = rep.run_traced(&p, &["alpha", "beta"]).unwrap();
+        let (_, again) = replay_spans(&rep, &p, &["alpha", "beta"]);
         assert_eq!(session, again);
     }
 
@@ -988,7 +1052,7 @@ mod tests {
         let mut p = TraceProgram::new(1);
         p.rank(0).phase(3);
         p.rank(0).compute(KernelCost::flops(1.0));
-        let (_, session) = Replayer::new(simple_machine()).run_traced(&p, &[]).unwrap();
+        let (_, session) = replay_spans(&Replayer::new(simple_machine()), &p, &[]);
         assert_eq!(session.lanes[0].spans[0].name, "phase 3");
     }
 
@@ -1037,7 +1101,7 @@ mod tests {
             p.rank(r).collective(CollectiveKind::Allreduce, g, 8);
         }
         let rep = Replayer::new(simple_machine());
-        let (out, log) = rep.run_logged(&p).unwrap();
+        let (out, log) = replay_log(&rep, &p).unwrap();
         let plain = rep.run(&p).unwrap();
         assert_eq!(out.finish, plain.finish);
         // 4 sends + 4 recvs + 4 collective arrivals + 4 finishes.
@@ -1048,7 +1112,7 @@ mod tests {
                 .count(),
             4
         );
-        let (_, again) = rep.run_logged(&p).unwrap();
+        let (_, again) = replay_log(&rep, &p).unwrap();
         assert_eq!(log, again);
     }
 
@@ -1086,7 +1150,7 @@ mod tests {
         for _ in 0..4 {
             p.rank(1).recv(0, 5);
         }
-        let (out, log) = Replayer::new(simple_machine()).run_logged(&p).unwrap();
+        let (out, log) = replay_log(&Replayer::new(simple_machine()), &p).unwrap();
         assert_eq!(
             recvs_of(&log, 1),
             vec![(0, 0.5), (0, 1.5), (0, 2.5), (0, 12.5)]
@@ -1108,7 +1172,7 @@ mod tests {
         for s in [3, 1, 2] {
             p.rank(0).recv(s, 4);
         }
-        let (out, log) = Replayer::new(simple_machine()).run_logged(&p).unwrap();
+        let (out, log) = replay_log(&Replayer::new(simple_machine()), &p).unwrap();
         // Rank 3 is on the other node: inter latency 1.0.
         assert_eq!(recvs_of(&log, 0), vec![(3, 31.0), (1, 31.0), (2, 31.0)]);
         assert_eq!(out.finish[0], 31.0);
@@ -1134,7 +1198,7 @@ mod tests {
             ],
         });
         p.rank(0).recv(0, 2);
-        let (out, log) = Replayer::new(simple_machine()).run_logged(&p).unwrap();
+        let (out, log) = replay_log(&Replayer::new(simple_machine()), &p).unwrap();
         // Each receive takes the message sent one step earlier: first
         // the 100-byte one (5.0), then each zero-byte one.
         assert_eq!(
@@ -1162,7 +1226,7 @@ mod tests {
         // A source rank that sends nothing at all.
         let mut p = TraceProgram::new(2);
         p.rank(1).recv(0, 0);
-        let err = Replayer::new(simple_machine()).run_logged(&p).unwrap_err();
+        let err = replay_log(&Replayer::new(simple_machine()), &p).unwrap_err();
         assert_eq!(
             err,
             ReplayError::Deadlock {
@@ -1191,7 +1255,7 @@ mod tests {
             blocked: vec![(0, "recv from 1 tag 0".to_string())],
         };
         assert_eq!(rep.run(&p).unwrap_err(), expected);
-        assert_eq!(rep.run_logged(&p).unwrap_err(), expected);
+        assert_eq!(replay_log(&rep, &p).unwrap_err(), expected);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! (`kernel_time`, `p2p_time`, `send_overhead`, `collective_time`), so
 //! a noise-free [`crate::des::Replayer::run`] and the graph's baseline
 //! schedule agree **bit for bit**; [`validate_against_des`] checks that
-//! against a logged event stream, event by event.
+//! event by event against the log a `Vec<DesEvent>` probe records
+//! through [`crate::des::Replayer::run_probed`].
 
 use cpx_obs::{Meet, Schedule, TaskGraph, TaskKind, TaskNode};
 
@@ -440,7 +441,8 @@ mod tests {
         let prog = ring_program(6, 4);
         let graph = build_task_graph(&prog, &machine, &names()).unwrap();
         let sched = graph.schedule(&Rescale::none()).unwrap();
-        let (out, log) = Replayer::new(machine).run_logged(&prog).unwrap();
+        let mut log = Vec::new();
+        let out = Replayer::new(machine).run_probed(&prog, &mut log).unwrap();
         assert_eq!(sched.makespan.to_bits(), out.makespan().to_bits());
         validate_against_des(&graph, &sched, &log).unwrap();
     }
@@ -457,7 +459,8 @@ mod tests {
         prog.rank(n).recv(0, 3);
         let graph = build_task_graph(&prog, &machine, &names()).unwrap();
         let sched = graph.schedule(&Rescale::none()).unwrap();
-        let (out, log) = Replayer::new(machine).run_logged(&prog).unwrap();
+        let mut log = Vec::new();
+        let out = Replayer::new(machine).run_probed(&prog, &mut log).unwrap();
         assert_eq!(sched.makespan.to_bits(), out.makespan().to_bits());
         validate_against_des(&graph, &sched, &log).unwrap();
     }
@@ -486,8 +489,10 @@ mod tests {
         let machine = Machine::archer2();
         let prog = ring_program(4, 2);
         let expanded = scale_compute_by_phase(&prog, &[]);
-        let (_, log_a) = Replayer::new(machine.clone()).run_logged(&prog).unwrap();
-        let (_, log_b) = Replayer::new(machine).run_logged(&expanded).unwrap();
+        let (mut log_a, mut log_b) = (Vec::new(), Vec::new());
+        let rep = Replayer::new(machine);
+        rep.run_probed(&prog, &mut log_a).unwrap();
+        rep.run_probed(&expanded, &mut log_b).unwrap();
         assert_eq!(log_a, log_b);
     }
 

@@ -40,7 +40,9 @@ pub mod stats;
 pub mod trace;
 
 pub use cost::KernelCost;
-pub use des::{DesEvent, DesEventKind, ReplayError, ReplayOutcome, Replayer};
+pub use des::{
+    DesEvent, DesEventKind, PhaseBreakdown, PhaseSpans, Probe, ReplayError, ReplayOutcome, Replayer,
+};
 pub use graph::{build_task_graph, collective_label, scale_compute_by_phase, validate_against_des};
 pub use model::{Machine, MachineBuilder};
 pub use stats::TraceStats;

@@ -10,12 +10,16 @@
 //! shuffled, so one channel carries messages from top-level ops and
 //! from `Repeat` bodies alike, and receives on different channels
 //! interleave freely.
+//!
+//! The same programs check the replay probes: observing a replay never
+//! changes it, the phase breakdown and span lanes account for every
+//! rank's time, and system noise moves times but not the event order.
 
 use proptest::prelude::*;
 
 use cpx_machine::{
-    build_task_graph, validate_against_des, CollectiveKind, KernelCost, Machine, MachineBuilder,
-    Op, Replayer, TraceProgram,
+    build_task_graph, validate_against_des, CollectiveKind, DesEvent, KernelCost, Machine,
+    MachineBuilder, Op, PhaseBreakdown, PhaseSpans, Replayer, TraceProgram,
 };
 use cpx_obs::Rescale;
 
@@ -243,9 +247,11 @@ proptest! {
     ) {
         let m = machine();
         let prog = generated_program(seed, n, rounds);
-        let (out, log) = Replayer::new(m.clone())
-            .run_logged(&prog)
+        let mut probe = (Vec::new(), (PhaseBreakdown::new(4), PhaseSpans::default()));
+        let out = Replayer::new(m.clone())
+            .run_probed(&prog, &mut probe)
             .expect("generated programs never deadlock");
+        let (log, (breakdown, spans)) = probe;
         let graph = build_task_graph(&prog, &m, &[]).expect("generated programs match up");
         let sched = graph.schedule(&Rescale::none()).expect("graph schedules");
 
@@ -253,11 +259,81 @@ proptest! {
         for (id, node) in graph.nodes.iter().enumerate() {
             finish[node.rank] = sched.end[id];
         }
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&out.finish), bits(&finish), "seed {}", seed);
         prop_assert_eq!(out.makespan().to_bits(), sched.makespan.to_bits());
         prop_assert!(validate_against_des(&graph, &sched, &log).is_ok(), "seed {}", seed);
-        // The plain replay is the logged one minus the log.
-        prop_assert_eq!(bits(&Replayer::new(m).run(&prog).unwrap().finish), bits(&out.finish));
+
+        // The plain replay is the probed one minus the probes.
+        let plain = Replayer::new(m).run(&prog).unwrap();
+        prop_assert_eq!(bits(&plain.finish), bits(&out.finish));
+        prop_assert_eq!(bits(&plain.compute_time), bits(&out.compute_time));
+        prop_assert_eq!(bits(&plain.comm_time), bits(&out.comm_time));
+
+        // Generated phase ids are all below 4, so the breakdown
+        // accounts for every second of every rank.
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+        for r in 0..n {
+            let compute: f64 = breakdown.compute.iter().map(|c| c[r]).sum();
+            let comm: f64 = breakdown.comm.iter().map(|c| c[r]).sum();
+            prop_assert!(close(compute, out.compute_time[r]), "rank {} compute {}", r, compute);
+            prop_assert!(close(comm, out.comm_time[r]), "rank {} comm {}", r, comm);
+        }
+
+        // Each lane tiles [0, finish] with non-empty spans, and the
+        // spans named after a phase last as long as the breakdown
+        // charges to it.
+        let session = spans.into_session(&out.finish);
+        prop_assert_eq!(session.lanes.len(), n);
+        for (r, lane) in session.lanes.iter().enumerate() {
+            let mut t = 0.0f64;
+            let mut in_phase = [0.0f64; 4];
+            for span in &lane.spans {
+                prop_assert_eq!(span.start.to_bits(), t.to_bits(), "rank {} gap", r);
+                prop_assert!(span.end > span.start, "rank {} empty span", r);
+                t = span.end;
+                let id: usize = span.name.trim_start_matches("phase ").parse().unwrap();
+                in_phase[id] += span.duration();
+            }
+            prop_assert_eq!(t.to_bits(), out.finish[r].to_bits(), "rank {} end", r);
+            for (id, &secs) in in_phase.iter().enumerate() {
+                let charged = breakdown.compute[id][r] + breakdown.comm[id][r];
+                prop_assert!(
+                    (secs - charged).abs() <= 1e-9 * out.finish[r],
+                    "rank {} phase {}: spans {} vs charged {}", r, id, secs, charged
+                );
+            }
+        }
     }
+
+    #[test]
+    fn noise_moves_times_but_not_the_event_order(
+        seed in 0u64..u64::MAX,
+        noise_seed in 0u64..1000,
+        n in 1usize..9,
+        rounds in 1usize..14,
+    ) {
+        let prog = generated_program(seed, n, rounds);
+        let (mut clean_log, mut noisy_log): (Vec<DesEvent>, Vec<DesEvent>) = (vec![], vec![]);
+        let clean = Replayer::new(machine())
+            .run_probed(&prog, &mut clean_log)
+            .unwrap();
+        let noisy = Replayer::new(machine())
+            .with_noise(0.05, noise_seed)
+            .run_probed(&prog, &mut noisy_log)
+            .unwrap();
+        // Run-to-block scheduling depends on structure, not on time.
+        let order = |log: &[DesEvent]| log.iter().map(|e| (e.rank, e.kind)).collect::<Vec<_>>();
+        prop_assert_eq!(order(&clean_log), order(&noisy_log), "seed {}", seed);
+        // Noise scales compute ops by at most 1 + 2·0.05 and the replay
+        // is max-plus, so no rank speeds up or slows by more than 10%.
+        for r in 0..n {
+            let (c, z) = (clean.finish[r], noisy.finish[r]);
+            prop_assert!(z >= c * (1.0 - 1e-12), "rank {}: {} < {}", r, z, c);
+            prop_assert!(z <= 1.1 * c * (1.0 + 1e-12), "rank {}: {} > 1.1 x {}", r, z, c);
+        }
+    }
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }

@@ -78,7 +78,7 @@ impl MgCfdTraceModel {
         let p = ranks.len();
         assert!(p >= 1);
         for (i, &world_rank) in ranks.iter().enumerate() {
-            let body = self.step_body(i, p, ranks, group);
+            let body = self.step_body(i, p, ranks, group, None);
             program
                 .rank(world_rank)
                 .ops
@@ -87,8 +87,23 @@ impl MgCfdTraceModel {
     }
 
     /// The ops of one solver iteration for group-index `i` of `p`.
-    pub fn step_body(&self, i: usize, p: usize, ranks: &[usize], group: usize) -> Vec<Op> {
+    ///
+    /// With `phase`, the body starts with an `Op::Phase(phase)` marker
+    /// so a phase-accounting replay attributes the whole iteration to
+    /// this instance — used by the coupled profiler, where CU-exchange
+    /// phases interleave into the same rank timeline and each must hand
+    /// the rank back to its owning app's phase. Phase markers are free
+    /// in the replayer, so timings are identical either way.
+    pub fn step_body(
+        &self,
+        i: usize,
+        p: usize,
+        ranks: &[usize],
+        group: usize,
+        phase: Option<PhaseId>,
+    ) -> Vec<Op> {
         let mut body = Vec::new();
+        body.extend(phase.map(Op::Phase));
         for level in 0..self.config.mg_levels {
             let cells = self.cells_of_rank(i, p, level);
             let sweeps = if level == 0 {
@@ -119,26 +134,6 @@ impl MgCfdTraceModel {
             group,
             bytes: 8,
         });
-        body
-    }
-
-    /// As [`MgCfdTraceModel::step_body`], prefixed with an
-    /// `Op::Phase(phase)` marker so a traced replay attributes the
-    /// whole iteration to this instance — used by the coupled profiler,
-    /// where CU-exchange phases interleave into the same rank timeline
-    /// and each must hand the rank back to its owning app's phase.
-    /// Phase markers are free in the replayer, so timings are identical
-    /// to the unphased body.
-    pub fn step_body_phased(
-        &self,
-        i: usize,
-        p: usize,
-        ranks: &[usize],
-        group: usize,
-        phase: PhaseId,
-    ) -> Vec<Op> {
-        let mut body = vec![Op::Phase(phase)];
-        body.extend(self.step_body(i, p, ranks, group));
         body
     }
 
@@ -177,6 +172,7 @@ fn neighbor_offsets(p: usize) -> [usize; NEIGHBOR_OFFSETS_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpx_machine::PhaseBreakdown;
 
     fn model(cells: f64) -> MgCfdTraceModel {
         MgCfdTraceModel::new(MgCfdConfig::blade_row(cells))
@@ -266,26 +262,22 @@ mod tests {
         let m = model(1.0e6);
         let machine = Machine::archer2();
         let ranks: Vec<usize> = (0..8).collect();
-        let build = |phased: bool| {
+        let build = |phase: Option<PhaseId>| {
             let mut program = TraceProgram::new(8);
             let g = program.add_world_group();
             for i in 0..8 {
-                let body = if phased {
-                    m.step_body_phased(i, 8, &ranks, g, 3)
-                } else {
-                    m.step_body(i, 8, &ranks, g)
-                };
+                let body = m.step_body(i, 8, &ranks, g, phase);
                 program.rank(i).ops.push(Op::Repeat { count: 4, body });
             }
-            Replayer::new(machine.clone())
-                .track_phases(4)
-                .run(&program)
-                .unwrap()
+            let mut breakdown = PhaseBreakdown::new(4);
+            let out = Replayer::new(machine.clone())
+                .run_probed(&program, &mut breakdown)
+                .unwrap();
+            (out, breakdown)
         };
-        let plain = build(false);
-        let phased = build(true);
+        let (plain, _) = build(None);
+        let (phased, breakdown) = build(Some(3));
         assert_eq!(plain.makespan(), phased.makespan());
-        let breakdown = phased.phases.unwrap();
         assert!(breakdown.elapsed(3) > 0.0);
     }
 

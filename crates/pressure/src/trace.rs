@@ -431,12 +431,12 @@ impl PressureTraceModel {
         let ranks: Vec<usize> = (0..p).collect();
         let group = prog.add_world_group();
         self.emit(&mut prog, &ranks, group, steps, machine);
+        let mut breakdown = PhaseBreakdown::new(6);
         let out = Replayer::new(machine.clone())
-            .track_phases(6)
-            .run(&prog)
+            .run_probed(&prog, &mut breakdown)
             .expect("pressure trace must replay");
         let per_step = (out.makespan() - setup_time) / steps as f64;
-        (per_step, setup_time, out.phases.expect("tracked"))
+        (per_step, setup_time, breakdown)
     }
 
     /// [`PressureTraceModel::profile`] with the pressure-field solve
@@ -464,12 +464,12 @@ impl PressureTraceModel {
                 .makespan()
         };
         let prog = self.build_program(p, machine, steps, true);
+        let mut breakdown = PhaseBreakdown::new(N_DETAILED_PHASES);
         let out = Replayer::new(machine.clone())
-            .track_phases(N_DETAILED_PHASES)
-            .run(&prog)
+            .run_probed(&prog, &mut breakdown)
             .expect("pressure trace must replay");
         let per_step = (out.makespan() - setup_time) / steps as f64;
-        (per_step, setup_time, out.phases.expect("tracked"))
+        (per_step, setup_time, breakdown)
     }
 
     /// Virtual runtime of one timestep at `p` ranks.

@@ -132,11 +132,12 @@ fn line_diff(committed: &str, fresh: &str) -> String {
 }
 
 /// The <5% recorder-overhead acceptance gate: wall-clock the traced
-/// coupled run (DES replay with logging hooks on + coupled model +
-/// report) against the untraced one, reusing the event buffer via
-/// [`Replayer::run_logged_into`] — the recommended shape for repeated
-/// recording. Interleaved best-of-fifty to cancel frequency/cache
-/// drift between the two measurement series.
+/// coupled run (DES replay with a `Vec<DesEvent>` probe, coupled model
+/// and report) against the untraced one ([`Replayer::run`]), clearing
+/// and reusing one event buffer across [`Replayer::run_probed`] calls —
+/// the recommended shape for repeated recording. Interleaved
+/// best-of-fifty to cancel frequency/cache drift between the two
+/// measurement series.
 ///
 /// The DesEvent → ReplayEvent mapping and trace serialization happen
 /// *after* the run returns, so they cannot perturb anything the run
@@ -156,9 +157,8 @@ fn overhead_gate() -> ExitCode {
     // Warm up both paths.
     for _ in 0..3 {
         replayer.run(&program).expect("replays");
-        replayer
-            .run_logged_into(&program, &mut log)
-            .expect("replays");
+        log.clear();
+        replayer.run_probed(&program, &mut log).expect("replays");
     }
 
     let mut plain = f64::INFINITY;
@@ -171,9 +171,8 @@ fn overhead_gate() -> ExitCode {
         plain = plain.min(t0.elapsed().as_secs_f64());
 
         let t1 = std::time::Instant::now();
-        replayer
-            .run_logged_into(&program, &mut log)
-            .expect("replays");
+        log.clear();
+        replayer.run_probed(&program, &mut log).expect("replays");
         let run = sim::run_coupled(&scenario, &alloc, &machine, 5);
         std::hint::black_box(markdown_report(&scenario, &alloc, &run).len());
         logged = logged.min(t1.elapsed().as_secs_f64());

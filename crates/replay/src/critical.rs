@@ -315,7 +315,10 @@ mod tests {
     use cpx_machine::{CollectiveKind, KernelCost, Machine, Op, Replayer, TraceProgram};
 
     fn des_trace(program: &TraceProgram, machine: Machine) -> Trace {
-        let (_, log) = Replayer::new(machine).run_logged(program).unwrap();
+        let mut log = Vec::new();
+        Replayer::new(machine)
+            .run_probed(program, &mut log)
+            .unwrap();
         Trace {
             label: "test".into(),
             seed: 0,

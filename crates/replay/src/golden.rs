@@ -171,8 +171,9 @@ fn clean_coupled() -> GoldenArtifacts {
     let alloc = small_alloc(&scenario, 310);
     let sample_iters = 3;
     let (program, _) = coupled_program(&scenario, &alloc, &machine, sample_iters);
-    let (_, des_log) = Replayer::new(machine.clone())
-        .run_logged(&program)
+    let mut des_log = Vec::new();
+    Replayer::new(machine.clone())
+        .run_probed(&program, &mut des_log)
         .expect("clean coupled program replays");
     let run = sim::run_coupled(&scenario, &alloc, &machine, sample_iters);
     let report = markdown_report(&scenario, &alloc, &run);

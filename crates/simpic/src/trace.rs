@@ -14,7 +14,7 @@
 //! mini-app batches field solves against particle work, as the real
 //! code overlaps its pipeline.
 
-use cpx_machine::{CollectiveKind, KernelCost, Machine, Op, PhaseId, Replayer, TraceProgram};
+use cpx_machine::{CollectiveKind, KernelCost, Machine, Op, Replayer, TraceProgram};
 
 use crate::config::SimpicConfig;
 
@@ -165,53 +165,13 @@ impl SimpicTraceModel {
     /// collective group `group`. A full pipelined sweep runs every
     /// [`CHAIN_INTERVAL`] steps.
     pub fn emit(&self, program: &mut TraceProgram, ranks: &[usize], group: usize, steps: u32) {
-        self.emit_inner(program, ranks, group, steps, None);
-    }
-
-    /// As [`SimpicTraceModel::emit`], labelling particle steps with
-    /// `step_phase` and the pipelined field sweeps with `sweep_phase`
-    /// (`Op::Phase` markers, free in the replayer) so a traced replay
-    /// separates particle work from the serialized solve that limits
-    /// scaling.
-    pub fn emit_phased(
-        &self,
-        program: &mut TraceProgram,
-        ranks: &[usize],
-        group: usize,
-        steps: u32,
-        step_phase: PhaseId,
-        sweep_phase: PhaseId,
-    ) {
-        self.emit_inner(
-            program,
-            ranks,
-            group,
-            steps,
-            Some((step_phase, sweep_phase)),
-        );
-    }
-
-    fn emit_inner(
-        &self,
-        program: &mut TraceProgram,
-        ranks: &[usize],
-        group: usize,
-        steps: u32,
-        phases: Option<(PhaseId, PhaseId)>,
-    ) {
         let p = ranks.len();
         let blocks = steps / CHAIN_INTERVAL;
         let leftover = steps % CHAIN_INTERVAL;
         for (i, &world_rank) in ranks.iter().enumerate() {
             // One block: a sweep followed by CHAIN_INTERVAL plain steps.
             let mut body = Vec::new();
-            if let Some((_, sweep)) = phases {
-                body.push(Op::Phase(sweep));
-            }
             body.extend(self.chain_ops(i, p, ranks));
-            if let Some((step, _)) = phases {
-                body.push(Op::Phase(step));
-            }
             for _ in 0..CHAIN_INTERVAL {
                 body.extend(self.step_ops(i, p, ranks, group));
             }
@@ -222,13 +182,8 @@ impl SimpicTraceModel {
                     body,
                 });
             }
-            if leftover > 0 {
-                if let Some((step, _)) = phases {
-                    trace.ops.push(Op::Phase(step));
-                }
-                for _ in 0..leftover {
-                    trace.ops.extend(self.step_ops(i, p, ranks, group));
-                }
+            for _ in 0..leftover {
+                trace.ops.extend(self.step_ops(i, p, ranks, group));
             }
         }
     }
@@ -356,34 +311,6 @@ mod tests {
         assert!(program.validate().is_ok());
         let out = Replayer::new(Machine::archer2()).run(&program).unwrap();
         assert!(out.makespan() > 0.0);
-    }
-
-    #[test]
-    fn phased_emit_splits_particle_and_sweep_time() {
-        let m = SimpicTraceModel::new(SimpicConfig::base_28m());
-        let machine = Machine::archer2();
-        let build = |phased: bool| {
-            let mut program = TraceProgram::new(6);
-            let g = program.add_world_group();
-            let ranks: Vec<usize> = (0..6).collect();
-            if phased {
-                m.emit_phased(&mut program, &ranks, g, 18, 1, 2);
-            } else {
-                m.emit(&mut program, &ranks, g, 18);
-            }
-            Replayer::new(machine.clone())
-                .track_phases(3)
-                .run(&program)
-                .unwrap()
-        };
-        let plain = build(false);
-        let phased = build(true);
-        // Markers are free: identical timing, but both lanes now carry
-        // attributed time.
-        assert_eq!(plain.makespan(), phased.makespan());
-        let breakdown = phased.phases.unwrap();
-        assert!(breakdown.elapsed(1) > 0.0, "particle steps");
-        assert!(breakdown.elapsed(2) > 0.0, "field sweep");
     }
 
     #[test]

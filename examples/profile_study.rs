@@ -32,7 +32,7 @@ use std::time::Instant;
 use cpx_comm::{FaultPlan, RankCtx, RankOutcome, ReduceOp, World};
 use cpx_core::prelude::*;
 use cpx_core::report::markdown_report_with;
-use cpx_machine::Replayer;
+use cpx_machine::{PhaseSpans, Replayer};
 use cpx_obs::{chrome_trace_json, collapsed_stacks, metrics_json};
 use cpx_pressure::{PressureConfig, PressureTraceModel};
 
@@ -79,10 +79,11 @@ fn generate(machine: &Machine) -> Artifacts {
     let model = PressureTraceModel::new(PressureConfig::swirl_28m());
     let program = model.build_program(64, machine, 2, true);
     let names = cpx_pressure::trace::detailed_phase_names();
-    let (_, pressure_session) = Replayer::new(machine.clone())
-        .track_phases(names.len())
-        .run_traced(&program, &names)
+    let mut spans = PhaseSpans::new(&names);
+    let out = Replayer::new(machine.clone())
+        .run_probed(&program, &mut spans)
         .expect("pressure replay");
+    let pressure_session = spans.into_session(&out.finish);
 
     // 2. Threaded comm run under a lossy fault plan; every rank must
     //    survive (drops are retried transparently).
@@ -106,12 +107,8 @@ fn generate(machine: &Machine) -> Artifacts {
     );
     let alloc = model::allocate_scenario(&models, 1200);
     let run = sim::run_coupled(&scenario, &alloc, machine, 8);
-    let (phase_names, out, _) = sim::trace_coupled(&scenario, &alloc, machine, 8);
-    let coupled = PhaseProfile::coupled(
-        &scenario,
-        &phase_names,
-        out.phases.as_ref().expect("tracked"),
-    );
+    let (phase_names, _, breakdown, _) = sim::trace_coupled(&scenario, &alloc, machine, 8);
+    let coupled = PhaseProfile::coupled(&scenario, &phase_names, &breakdown);
 
     let fig5 = PhaseProfile::pressure_fig5(PressureConfig::swirl_28m(), 2048, machine, 2);
     let share_sum: f64 = fig5.shares().iter().sum();
@@ -253,14 +250,19 @@ fn main() {
     let model = PressureTraceModel::new(PressureConfig::swirl_28m());
     let program = model.build_program(256, &machine, 4, true);
     let names = cpx_pressure::trace::detailed_phase_names();
-    let replayer = Replayer::new(machine.clone()).track_phases(names.len());
+    let replayer = Replayer::new(machine.clone());
+    let traced_session = || {
+        let mut spans = PhaseSpans::new(&names);
+        let out = replayer.run_probed(&program, &mut spans).expect("replay");
+        spans.into_session(&out.finish)
+    };
     let plain = wall_min(reps, || {
         replayer.run(&program).expect("replay");
     });
     let traced = wall_min(reps, || {
-        replayer.run_traced(&program, &names).expect("replay");
+        traced_session();
     });
-    let (_, session) = replayer.run_traced(&program, &names).expect("replay");
+    let session = traced_session();
     println!(
         "traced replay: {:.2} ms vs {:.2} ms plain over {} spans ({:.0} ns/span)",
         traced * 1e3,

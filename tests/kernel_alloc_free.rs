@@ -21,7 +21,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cpx_amg::{Smoother, SweepScratch};
-use cpx_machine::{CollectiveKind, KernelCost, Machine, Op, ReplayError, Replayer, TraceProgram};
+use cpx_machine::{
+    CollectiveKind, DesEvent, KernelCost, Machine, Op, ReplayError, Replayer, TraceProgram,
+};
 use cpx_par::ParPool;
 use cpx_sparse::spgemm::{spgemm_spa_reuse, SpaWorkspace};
 use cpx_sparse::{Csr, SellCSigma};
@@ -221,7 +223,10 @@ fn des_deadlock_before_a_huge_repeat_allocates_nothing_for_it() {
     assert!(bytes < 1 << 16, "plain replay requested {bytes} bytes");
     // A logged replay reserves a bounded log up front, never one event
     // per expanded op of the repeat.
-    let (err, _, bytes) = allocs_during(|| replayer.run_logged(&p).unwrap_err());
+    let (err, _, bytes) = allocs_during(|| {
+        let mut log: Vec<DesEvent> = Vec::new();
+        replayer.run_probed(&p, &mut log).unwrap_err()
+    });
     assert!(matches!(err, ReplayError::Deadlock { .. }), "{err:?}");
     assert!(bytes <= 1 << 26, "logged replay requested {bytes} bytes");
 }
