@@ -13,7 +13,7 @@
 //! Because all timing inside the rank programs is virtual and every
 //! fault decision is a pure function of the plan, a crash-free run
 //! produces **bit-identical reports and event logs** whether the world
-//! runs in one process ([`crate::World::run_with_plan_logged`]) or
+//! runs in one process ([`crate::World::run_recorded`]) or
 //! across many ([`run_node`] on each) — the golden
 //! `multiproc_smoke` corpus in the repository enforces exactly this.
 
@@ -100,20 +100,21 @@ pub struct NodeRun<T> {
     /// Outcome + report per hosted rank, parallel to `ranks`.
     pub runs: Vec<RankRun<T>>,
     /// Communication event log of the hosted ranks, concatenated in
-    /// rank order (empty unless `logged`).
+    /// rank order (empty unless [`NodeObsOptions::record`]).
     pub log: Vec<CommEvent>,
 }
 
-/// What [`run_node_obs`] should observe on top of running the ranks.
+/// What [`run_node`] should observe on top of running the ranks.
 ///
-/// The default is everything off, which makes `run_node_obs` behave
-/// exactly like [`run_node`] (and costs exactly as much: disabled
-/// recorders are branch-on-bool no-ops and a disabled [`NetStats`] is a
-/// branch on an `Option` discriminant).
+/// The default is everything off: disabled recorders are
+/// branch-on-bool no-ops and a disabled [`NetStats`] is a branch on an
+/// `Option` discriminant.
 #[derive(Debug, Clone, Default)]
 pub struct NodeObsOptions {
-    /// Record a virtual-clock span/counter timeline per hosted rank.
-    pub traced: bool,
+    /// Record, per hosted rank, a virtual-clock span/counter timeline
+    /// and the comm event log (the recorders of
+    /// [`crate::World::run_recorded`]).
+    pub record: bool,
     /// Record a wall-clock lane for this node (establish/run/shutdown).
     pub wall: bool,
     /// Count per-peer transport traffic, heartbeats, CRC failures and
@@ -128,7 +129,7 @@ impl NodeObsOptions {
     /// Everything on except the HTTP endpoint.
     pub fn full() -> Self {
         NodeObsOptions {
-            traced: true,
+            record: true,
             wall: true,
             net_stats: true,
             metrics_addr: None,
@@ -139,50 +140,25 @@ impl NodeObsOptions {
 /// Run this process's share of a distributed world: mesh up with the
 /// other nodes of `cfg`, execute `f` on every locally hosted rank, and
 /// tear the mesh down cleanly (goodbye, so peers don't mistake our exit
-/// for a crash).
+/// for a crash). Returns the hosted ranks' results plus the node's
+/// observability bundle.
 ///
 /// `f` sees exactly the same [`RankCtx`] API as under
 /// [`crate::World::run_with_plan`]; world size, fault decisions and all
 /// virtual-time accounting are identical across backends.
+///
+/// Depending on `opts` this records per-rank virtual timelines (with
+/// recovery events) and the comm event log, a node-level wall-clock
+/// lane, per-peer transport statistics, and serves the live
+/// `/metrics` and `/healthz` endpoint while ranks run. The returned
+/// [`NodeObs`] is what a child process ships to the launcher (via
+/// [`NodeObs::encode`]) so the parent can merge one Chrome trace and
+/// one `cluster_metrics.json` for the whole cluster.
 pub fn run_node<T, F>(
     machine: Machine,
     cfg: &ClusterConfig,
     node: usize,
     plan: FaultPlan,
-    logged: bool,
-    f: F,
-) -> io::Result<NodeRun<T>>
-where
-    T: Send + 'static,
-    F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
-{
-    run_node_obs(
-        machine,
-        cfg,
-        node,
-        plan,
-        logged,
-        NodeObsOptions::default(),
-        f,
-    )
-    .map(|(run, _obs)| run)
-}
-
-/// [`run_node`] plus the node's observability bundle.
-///
-/// Depending on `opts` this records per-rank virtual timelines (with
-/// recovery events), a node-level wall-clock lane, per-peer transport
-/// statistics, and serves the live `/metrics` + `/healthz` endpoint
-/// while ranks run. The returned [`NodeObs`] is what a child process
-/// ships to the launcher (via [`NodeObs::encode`]) so the parent can
-/// merge one Chrome trace and one `cluster_metrics.json` for the whole
-/// cluster.
-pub fn run_node_obs<T, F>(
-    machine: Machine,
-    cfg: &ClusterConfig,
-    node: usize,
-    plan: FaultPlan,
-    logged: bool,
     opts: NodeObsOptions,
     f: F,
 ) -> io::Result<(NodeRun<T>, NodeObs)>
@@ -244,8 +220,7 @@ where
         endpoints,
         Arc::new(plan),
         Arc::new(Registry::default()),
-        opts.traced,
-        logged,
+        opts.record,
         Arc::new(f),
     );
     wall.end();
@@ -270,7 +245,7 @@ where
         ranks.push(rank);
         runs.push(run);
         log.extend(rank_log);
-        if opts.traced {
+        if opts.record {
             lanes.push(timeline);
         }
     }

@@ -29,6 +29,14 @@
 //! all of the dead rank's sends, and a dying rank's clock is clamped to
 //! its scheduled crash time. Same plan, same seed → same outcomes and
 //! bit-identical `TimeReport`s.
+//!
+//! # Recording
+//!
+//! [`World::run_recorded`] is `run_with_plan` with both per-rank
+//! recorders on: the virtual-time span lanes ([`TraceSession`]) and the
+//! [`CommEvent`] log. Other runs leave both off, which makes every
+//! recording call a branch on a flag. Recording observes and never
+//! steers: a recorded run's `TimeReport`s equal the plain run's.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -225,7 +233,7 @@ pub enum CommEventKind {
 }
 
 /// One entry of a rank's communication event log (recorded by
-/// [`World::run_with_plan_logged`]): what happened, at which virtual
+/// [`World::run_recorded`]): what happened, at which virtual
 /// time. Per-rank sequences are deterministic — every fault decision is
 /// a pure function of the plan and the clock is virtual — so the
 /// concatenation of the per-rank lanes in rank order is reproducible
@@ -266,11 +274,11 @@ pub struct RankCtx {
     /// Per-destination send-attempt counters feeding the fault plan's
     /// decision function (sender-local, hence scheduling-independent).
     send_seq: HashMap<usize, u64>,
-    /// Virtual-time span/counter recorder (no-op unless the world was
-    /// started through a `*_traced` entry point).
+    /// Virtual-time span/counter recorder (no-op unless the run
+    /// records).
     obs: RankRecorder,
-    /// Communication event log (`Some` only under a `*_logged` entry
-    /// point, so unlogged runs pay nothing).
+    /// Communication event log (`Some` only when the run records, so
+    /// other runs pay nothing).
     log: Option<Vec<CommEvent>>,
     pub(crate) registry: Arc<Registry>,
 }
@@ -312,14 +320,8 @@ impl RankCtx {
         self.compute_time
     }
 
-    /// The active fault plan (trivial when running without faults).
-    #[inline]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Open an observability span at the current virtual time. No-op
-    /// unless the world was started through a `*_traced` entry point.
+    /// unless the run records ([`World::run_recorded`]).
     #[inline]
     pub fn obs_begin(&mut self, name: impl Into<SpanName>) {
         let t = self.clock;
@@ -349,7 +351,7 @@ impl RankCtx {
     }
 
     /// Append to the comm event log at the current virtual time. No-op
-    /// unless the world was started through a `*_logged` entry point.
+    /// unless the run records.
     #[inline]
     pub(crate) fn log_event(&mut self, kind: CommEventKind) {
         if let Some(log) = self.log.as_mut() {
@@ -995,65 +997,36 @@ impl World {
         T: Send + 'static,
         F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     {
-        self.run_with_plan_full(n, plan, false, false, f).0
+        self.run_with_plan_full(n, plan, false, f).0
     }
 
-    /// [`World::run_with_plan`] with communication event logging on:
-    /// also returns the per-rank event lanes concatenated in rank
-    /// order — every send (with its fault-plan draw), receive, CRC
-    /// failure, retry backoff, failure detection, collective entry,
-    /// crash and abort, stamped with virtual time. Per-rank sequences
-    /// are deterministic, so the returned log is bit-reproducible:
-    /// same plan, same seed ⇒ identical events.
-    pub fn run_with_plan_logged<T, F>(
+    /// [`World::run_with_plan`] with both recorders on. Also returns
+    /// the [`TraceSession`] of virtual-time spans and counters (one lane
+    /// per rank; crashed and aborted ranks keep their partial timeline,
+    /// with spans open at death closed at the death clock) and the
+    /// communication event log: every send (with its fault-plan draw),
+    /// receive, CRC failure, retry backoff, failure detection,
+    /// collective entry, crash and abort, stamped with virtual time, as
+    /// the per-rank lanes concatenated in rank order. Both are
+    /// deterministic: same plan, same seed ⇒ identical session and log.
+    pub fn run_recorded<T, F>(
         &self,
         n: usize,
         plan: FaultPlan,
         f: F,
-    ) -> (Vec<RankRun<T>>, Vec<CommEvent>)
+    ) -> (Vec<RankRun<T>>, TraceSession, Vec<CommEvent>)
     where
         T: Send + 'static,
         F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     {
-        let (runs, _, log) = self.run_with_plan_full(n, plan, false, true, f);
-        (runs, log)
-    }
-
-    /// [`World::run`] with span recording on: also returns the
-    /// [`TraceSession`] of virtual-time spans and counters (one lane per
-    /// rank). Deterministic: same program + seed ⇒ identical session.
-    pub fn run_traced<T, F>(&self, n: usize, f: F) -> (Vec<(T, TimeReport)>, TraceSession)
-    where
-        T: Send + 'static,
-        F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
-    {
-        let (runs, session, _) = self.run_with_plan_full(n, FaultPlan::default(), true, false, f);
-        (completed_or_reraise(runs), session)
-    }
-
-    /// [`World::run_with_plan`] with span recording on. Crashed and
-    /// aborted ranks keep their partial timeline (spans open at death
-    /// are closed at the death clock).
-    pub fn run_with_plan_traced<T, F>(
-        &self,
-        n: usize,
-        plan: FaultPlan,
-        f: F,
-    ) -> (Vec<RankRun<T>>, TraceSession)
-    where
-        T: Send + 'static,
-        F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
-    {
-        let (runs, session, _) = self.run_with_plan_full(n, plan, true, false, f);
-        (runs, session)
+        self.run_with_plan_full(n, plan, true, f)
     }
 
     fn run_with_plan_full<T, F>(
         &self,
         n: usize,
         plan: FaultPlan,
-        traced: bool,
-        logged: bool,
+        record: bool,
         f: F,
     ) -> (Vec<RankRun<T>>, TraceSession, Vec<CommEvent>)
     where
@@ -1081,8 +1054,7 @@ impl World {
             endpoints,
             Arc::new(plan),
             Arc::new(Registry::default()),
-            traced,
-            logged,
+            record,
             Arc::new(f),
         );
 
@@ -1132,8 +1104,7 @@ pub(crate) fn run_endpoints<T, F>(
     endpoints: Vec<(usize, Box<dyn Transport>)>,
     plan: Arc<FaultPlan>,
     registry: Arc<Registry>,
-    traced: bool,
-    logged: bool,
+    record: bool,
     f: Arc<F>,
 ) -> Vec<(usize, RankRun<T>, RankTimeline, Vec<CommEvent>)>
 where
@@ -1151,7 +1122,7 @@ where
             .stack_size(8 << 20)
             .spawn(move || {
                 let crash_at = plan.crash_time(rank);
-                let obs = if traced {
+                let obs = if record {
                     RankRecorder::on()
                 } else {
                     RankRecorder::off()
@@ -1175,7 +1146,7 @@ where
                     crash_at,
                     send_seq: HashMap::new(),
                     obs,
-                    log: if logged { Some(Vec::new()) } else { None },
+                    log: record.then(Vec::new),
                     registry,
                 };
                 let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
@@ -1618,7 +1589,7 @@ mod tests {
                 .with_drop_prob(0.2)
                 .with_dup_prob(0.2)
                 .with_delay(0.3, 2e-6);
-            world().run_with_plan_logged(4, plan, |ctx| {
+            world().run_recorded(4, plan, |ctx| {
                 let me = ctx.rank();
                 ctx.compute(KernelCost::flops(1e8 * (me + 1) as f64));
                 for round in 0..5 {
@@ -1629,8 +1600,8 @@ mod tests {
                 g.allreduce_scalar(ctx, crate::ReduceOp::Sum, ctx.rank() as f64)
             })
         };
-        let (runs_a, log_a) = run();
-        let (_, log_b) = run();
+        let (runs_a, _, log_a) = run();
+        let (_, _, log_b) = run();
         assert!(!log_a.is_empty());
         assert_eq!(log_a, log_b);
         // Logging must not perturb the virtual timeline.

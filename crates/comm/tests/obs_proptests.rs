@@ -80,7 +80,9 @@ proptest! {
 
     #[test]
     fn spans_are_well_formed_on_clean_runs(n in 2usize..6, iters in 1usize..6) {
-        let (_, session) = world().run_traced(n, traced_workout(iters));
+        let (runs, session, _) =
+            world().run_recorded(n, FaultPlan::default(), traced_workout(iters));
+        prop_assert!(runs.iter().all(|r| r.outcome.is_completed()));
         assert_well_formed(&session);
         prop_assert!(session.total_spans() > 0);
         prop_assert_eq!(session.lanes.len(), n);
@@ -94,7 +96,7 @@ proptest! {
         drop_pct in 1u32..25,
     ) {
         let plan = FaultPlan::new(seed).with_drop_prob(drop_pct as f64 / 100.0);
-        let (_, session) = world().run_with_plan_traced(n, plan, traced_workout(iters));
+        let (_, session, _) = world().run_recorded(n, plan, traced_workout(iters));
         assert_well_formed(&session);
     }
 
@@ -107,7 +109,7 @@ proptest! {
         // A drop rate high enough that retries are routinely exercised.
         let run = || {
             let plan = FaultPlan::new(seed).with_drop_prob(0.15);
-            let (_, session) = world().run_with_plan_traced(n, plan, traced_workout(iters));
+            let (_, session, _) = world().run_recorded(n, plan, traced_workout(iters));
             (
                 chrome_trace_json(&session),
                 collapsed_stacks(&session),
@@ -125,6 +127,6 @@ proptest! {
 #[test]
 fn retries_show_up_in_the_trace() {
     let plan = FaultPlan::new(7).with_drop_prob(0.2);
-    let (_, session) = world().run_with_plan_traced(4, plan, traced_workout(6));
+    let (_, session, _) = world().run_recorded(4, plan, traced_workout(6));
     assert!(session.counter("retries") > 0, "20% drops must retry");
 }

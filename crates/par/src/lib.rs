@@ -20,8 +20,7 @@
 //!
 //! The global pool ([`ParPool::current`]) is sized from the
 //! `CPX_THREADS` environment variable (default 1, clamped to
-//! `1..=`[`MAX_THREADS`]) or programmatically via
-//! [`ParPool::set_global_threads`]. Kernels that consult the global
+//! `1..=`[`MAX_THREADS`]). Kernels that consult the global
 //! pool first apply [`ParPool::limited`] so tiny problems never pay
 //! thread-spawn latency. Explicit pools ([`ParPool::with_threads`]) are
 //! for benchmarks and tests that sweep thread counts without touching
@@ -113,7 +112,7 @@ impl ParPool {
     }
 
     /// The global pool: sized from `CPX_THREADS` on first use (default
-    /// 1), or whatever [`ParPool::set_global_threads`] last stored.
+    /// 1).
     pub fn current() -> ParPool {
         let mut t = GLOBAL_THREADS.load(Ordering::Relaxed);
         if t == 0 {
@@ -122,11 +121,6 @@ impl ParPool {
             GLOBAL_THREADS.store(t, Ordering::Relaxed);
         }
         ParPool { threads: t }
-    }
-
-    /// Override the global pool size (e.g. from a benchmark driver).
-    pub fn set_global_threads(threads: usize) {
-        GLOBAL_THREADS.store(threads.clamp(1, MAX_THREADS), Ordering::Relaxed);
     }
 
     /// Worker count.

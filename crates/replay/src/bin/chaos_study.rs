@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use cpx_comm::{
-    resilient_loop, run_node_obs, ClusterConfig, NodeObsOptions, RankOutcome, ResilientConfig,
+    resilient_loop, run_node, ClusterConfig, NodeObsOptions, RankOutcome, ResilientConfig,
 };
 use cpx_machine::{KernelCost, Machine};
 use cpx_obs::json::Json;
@@ -202,12 +202,12 @@ fn child(
     // chaos trial are the real SIGKILLs.
     let plan = cpx_comm::FaultPlan::new(seed);
     let opts = NodeObsOptions {
-        traced: obs,
+        record: obs,
         wall: obs,
         net_stats: obs || metrics_addr.is_some(),
         metrics_addr,
     };
-    let (run, bundle) = match run_node_obs(Machine::archer2(), &cfg, node, plan, false, opts, {
+    let (run, bundle) = match run_node(Machine::archer2(), &cfg, node, plan, opts, {
         move |ctx| {
             resilient_loop(ctx, &rcfg, |ctx, _iter| {
                 std::thread::sleep(Duration::from_millis(3));

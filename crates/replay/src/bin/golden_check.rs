@@ -184,7 +184,7 @@ fn overhead_gate() -> ExitCode {
     for _ in 0..20 {
         let t = std::time::Instant::now();
         events.clear();
-        events.extend(log.iter().map(|e| cpx_replay::ReplayEvent::from(*e)));
+        events.extend(log.iter().copied().map(cpx_replay::ReplayEvent::Des));
         std::hint::black_box(events.len());
         assemble = assemble.min(t.elapsed().as_secs_f64());
     }

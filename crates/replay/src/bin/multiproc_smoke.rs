@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use cpx_comm::{run_node_obs, ClusterConfig, NodeObsOptions};
+use cpx_comm::{run_node, ClusterConfig, NodeObsOptions};
 use cpx_obs::{
     cluster_chrome_trace_json, cluster_metrics_json, cluster_virtual_trace_json, NodeObs,
 };
@@ -86,17 +86,21 @@ fn main() -> ExitCode {
 /// the parent to merge.
 fn child(node: usize, port: u16, out: &Path, obs: bool) -> ExitCode {
     let cfg = cluster(port);
+    // The trace fragment needs the comm event log, so the ranks always
+    // record; `obs` adds the node's wall lane and transport counters.
     let opts = if obs {
         NodeObsOptions::full()
     } else {
-        NodeObsOptions::default()
+        NodeObsOptions {
+            record: true,
+            ..NodeObsOptions::default()
+        }
     };
-    let (run, bundle) = match run_node_obs(
+    let (run, bundle) = match run_node(
         multiproc::machine(),
         &cfg,
         node,
         multiproc::plan(),
-        true,
         opts,
         multiproc::program,
     ) {
@@ -116,7 +120,7 @@ fn child(node: usize, port: u16, out: &Path, obs: bool) -> ExitCode {
         label: multiproc::LABEL.to_string(),
         seed: multiproc::SEED,
         world_size: multiproc::WORLD as u32,
-        events: run.log.into_iter().map(ReplayEvent::from).collect(),
+        events: run.log.into_iter().map(ReplayEvent::Comm).collect(),
     };
     if let Err(e) = fragment.save(&out.join(format!("node{node}.trace.cpxr"))) {
         eprintln!("node {node}: writing trace fragment failed: {e}");

@@ -19,7 +19,11 @@
 //! `.cpxr` artifact — including ones whose generating program is long
 //! gone — this is the tool.
 
+use std::collections::{HashMap, VecDeque};
+
 use crate::{ReplayEvent, Trace};
+use cpx_comm::CommEventKind;
+use cpx_machine::DesEventKind;
 use cpx_obs::Json;
 
 /// One binding span of the trace's critical chain.
@@ -123,6 +127,50 @@ enum Role {
     Local,
 }
 
+/// How an event links ranks, keyed `(src, dst, tag)` for messages.
+enum Link {
+    /// A send that reached the link intact.
+    Send((u64, u64, u64)),
+    /// A completed receive.
+    Recv((u64, u64, u64)),
+    /// A collective entry on a group. Comm-runtime collectives carry no
+    /// group id on the wire and are world-wide: group `u64::MAX`.
+    Meet(u64),
+}
+
+fn link(event: &ReplayEvent) -> Option<Link> {
+    match *event {
+        ReplayEvent::Des(e) => {
+            let rank = u64::from(e.rank);
+            match e.kind {
+                DesEventKind::Send { dst, tag, .. } => {
+                    Some(Link::Send((rank, dst.into(), tag.into())))
+                }
+                DesEventKind::Recv { src, tag } => Some(Link::Recv((src.into(), rank, tag.into()))),
+                DesEventKind::Collective { group, .. } => Some(Link::Meet(group.into())),
+                DesEventKind::Finish => None,
+            }
+        }
+        ReplayEvent::Comm(e) => {
+            let rank = e.rank as u64;
+            match e.kind {
+                // Dropped and corrupted sends never complete a receive.
+                CommEventKind::Send {
+                    dst,
+                    tag,
+                    dropped: false,
+                    corrupted: false,
+                    ..
+                } => Some(Link::Send((rank, dst as u64, tag))),
+                CommEventKind::Recv { src, tag } => Some(Link::Recv((src as u64, rank, tag))),
+                CommEventKind::Collective { .. } => Some(Link::Meet(u64::MAX)),
+                _ => None,
+            }
+        }
+        ReplayEvent::Resilience(_) => None,
+    }
+}
+
 /// Analyze the binding chain of `trace`. Works on both DES traces
 /// (`Send`/`Recv`/`Collective`/`Finish`) and comm-runtime traces
 /// (`CommSend`/`CommRecv`/`CommCollective`/...); events without a rank
@@ -147,16 +195,14 @@ pub fn trace_critical(trace: &Trace) -> TraceCritical {
     }
 
     // Per-rank chains (indices into `timed`) and per-timed predecessor.
-    use std::collections::HashMap;
     let mut prev: Vec<Option<usize>> = vec![None; timed.len()];
     let mut last_on_rank: HashMap<u64, usize> = HashMap::new();
     for (t, ev) in timed.iter().enumerate() {
         prev[t] = last_on_rank.insert(ev.rank, t);
     }
 
-    // Match receives to sends, FIFO per (src, dst, tag). Dropped and
-    // corrupted comm-runtime sends never complete a matching receive.
-    let mut send_q: HashMap<(u64, u64, u64), std::collections::VecDeque<usize>> = HashMap::new();
+    // Match receives to sends, FIFO per (src, dst, tag).
+    let mut send_q: HashMap<(u64, u64, u64), VecDeque<usize>> = HashMap::new();
     // Collective occurrences: k-th collective entry per rank joins the
     // k-th global occurrence (the recorded runs only use world-sized
     // collective groups per group id, so (group, k) keys them).
@@ -166,31 +212,15 @@ pub fn trace_critical(trace: &Trace) -> TraceCritical {
     let mut roles: Vec<Role> = vec![Role::Local; timed.len()];
 
     for (t, ev) in timed.iter().enumerate() {
-        match trace.events[ev.ev] {
-            ReplayEvent::Send { rank, dst, tag, .. } => {
-                send_q.entry((rank, dst, tag)).or_default().push_back(t);
-            }
-            ReplayEvent::CommSend {
-                rank,
-                dst,
-                tag,
-                dropped,
-                corrupted,
-                ..
-            } if !dropped && !corrupted => {
-                send_q.entry((rank, dst, tag)).or_default().push_back(t);
-            }
-            ReplayEvent::Recv { rank, src, tag, .. }
-            | ReplayEvent::CommRecv { rank, src, tag, .. } => {
-                if let Some(s) = send_q
-                    .get_mut(&(src, rank, tag))
-                    .and_then(|q| q.pop_front())
-                {
+        match link(&trace.events[ev.ev]) {
+            Some(Link::Send(key)) => send_q.entry(key).or_default().push_back(t),
+            Some(Link::Recv(key)) => {
+                if let Some(s) = send_q.get_mut(&key).and_then(|q| q.pop_front()) {
                     roles[t] = Role::RecvFrom(s);
                 }
             }
-            ReplayEvent::Collective { rank, group, .. } => {
-                let k = rank_occ_counter.entry((group, rank)).or_insert(0);
+            Some(Link::Meet(group)) => {
+                let k = rank_occ_counter.entry((group, ev.rank)).or_insert(0);
                 let occ = *occ_of.entry((group, *k)).or_insert_with(|| {
                     occ_members.push(Vec::new());
                     occ_members.len() - 1
@@ -199,19 +229,7 @@ pub fn trace_critical(trace: &Trace) -> TraceCritical {
                 occ_members[occ].push(t);
                 roles[t] = Role::Meet(occ);
             }
-            ReplayEvent::CommCollective { rank, .. } => {
-                // No group id on the wire: comm-runtime collectives are
-                // world-wide, keyed by per-rank occurrence count.
-                let k = rank_occ_counter.entry((u64::MAX, rank)).or_insert(0);
-                let occ = *occ_of.entry((u64::MAX, *k)).or_insert_with(|| {
-                    occ_members.push(Vec::new());
-                    occ_members.len() - 1
-                });
-                *k += 1;
-                occ_members[occ].push(t);
-                roles[t] = Role::Meet(occ);
-            }
-            _ => {}
+            None => {}
         }
     }
 
@@ -312,6 +330,7 @@ pub fn trace_critical(trace: &Trace) -> TraceCritical {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpx_core::ResilienceEvent;
     use cpx_machine::{CollectiveKind, KernelCost, Machine, Op, Replayer, TraceProgram};
 
     fn des_trace(program: &TraceProgram, machine: Machine) -> Trace {
@@ -323,7 +342,7 @@ mod tests {
             label: "test".into(),
             seed: 0,
             world_size: program.n_ranks() as u32,
-            events: log.into_iter().map(ReplayEvent::from).collect(),
+            events: log.into_iter().map(ReplayEvent::Des).collect(),
         }
     }
 
@@ -383,7 +402,9 @@ mod tests {
             label: "untimed".into(),
             seed: 0,
             world_size: 1,
-            events: vec![ReplayEvent::Checkpoint { iter: 3 }],
+            events: vec![ReplayEvent::Resilience(ResilienceEvent::Checkpoint {
+                iter: 3,
+            })],
         };
         assert_eq!(trace_critical(&untimed).spans.len(), 0);
     }

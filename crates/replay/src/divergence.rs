@@ -97,15 +97,14 @@ pub fn verify(expected: &[ReplayEvent], observed: &[ReplayEvent]) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpx_machine::CollectiveKind;
+    use cpx_machine::{CollectiveKind, DesEvent, DesEventKind};
 
-    fn ev_recv(rank: u64, src: u64) -> ReplayEvent {
-        ReplayEvent::Recv {
+    fn ev_recv(rank: u32, src: u32) -> ReplayEvent {
+        ReplayEvent::Des(DesEvent {
             rank,
-            src,
-            tag: 0,
             vtime: 1.0,
-        }
+            kind: DesEventKind::Recv { src, tag: 0 },
+        })
     }
 
     #[test]
@@ -119,18 +118,21 @@ mod tests {
         let expected = vec![
             ev_recv(0, 1),
             ev_recv(7, 3),
-            ReplayEvent::Finish {
+            ReplayEvent::Des(DesEvent {
                 rank: 0,
                 vtime: 2.0,
-            },
+                kind: DesEventKind::Finish,
+            }),
         ];
         let mut observed = expected.clone();
-        observed[1] = ReplayEvent::Collective {
+        observed[1] = ReplayEvent::Des(DesEvent {
             rank: 7,
-            kind: CollectiveKind::Allreduce,
-            group: 0,
             vtime: 1.0,
-        };
+            kind: DesEventKind::Collective {
+                kind: CollectiveKind::Allreduce,
+                group: 0,
+            },
+        });
         let err = verify(&expected, &observed).unwrap_err();
         assert_eq!(err.index, 1);
         assert_eq!(err.expected, Some(expected[1]));
@@ -146,7 +148,7 @@ mod tests {
     fn timestamp_only_difference_is_a_divergence() {
         let expected = vec![ev_recv(0, 1)];
         let mut observed = expected.clone();
-        if let ReplayEvent::Recv { vtime, .. } = &mut observed[0] {
+        if let ReplayEvent::Des(DesEvent { vtime, .. }) = &mut observed[0] {
             *vtime += 1.0e-15;
         }
         assert!(verify(&expected, &observed).is_err());

@@ -1,113 +1,54 @@
-//! The unified replay event: every source of nondeterminism a run can
-//! record, flattened into one serializable enum.
+//! The replay event: every source of nondeterminism a run can record,
+//! as the union of the three engine vocabularies.
 //!
-//! Three producers feed it:
+//! Each variant wraps its producer's own event type, unchanged:
 //!
-//! * the DES replayer's deterministic event log
-//!   ([`cpx_machine::DesEvent`]) — sends, receives, collective arrivals
+//! * [`ReplayEvent::Des`] — the DES replayer's deterministic event log
+//!   ([`cpx_machine::DesEvent`]): sends, receives, collective arrivals
 //!   and rank finishes with virtual timestamps;
-//! * the threaded comm runtime's per-rank event lanes
-//!   ([`cpx_comm::CommEvent`]) — including each message's fault-plan
-//!   draw (drop/duplicate/corrupt), retries, failure detection, crashes
-//!   and aborts;
-//! * the resilient coupled run's decision log
-//!   ([`cpx_core::ResilienceEvent`]) — checkpoints, the
+//! * [`ReplayEvent::Comm`] — the threaded comm runtime's per-rank event
+//!   lanes ([`cpx_comm::CommEvent`]), including each message's
+//!   fault-plan draw (drop/duplicate/corrupt), retries, failure
+//!   detection, crashes and aborts;
+//! * [`ReplayEvent::Resilience`] — the resilient coupled run's decision
+//!   log ([`cpx_core::ResilienceEvent`]): checkpoints, the
 //!   crash/rollback/shrink sequence, stale CU exchanges, and SDC
 //!   detection/recovery.
+//!
+//! A producer's log maps in with `.map(ReplayEvent::Des)` (or `Comm`,
+//! `Resilience`).
+//!
+//! # Wire form
+//!
+//! One kind byte, then the fields in declaration order. Kinds 0–3 are
+//! DES (`Send`, `Recv`, `Collective`, `Finish`), 4–12 comm (in
+//! [`CommEventKind`] order) and 13–19 resilience (in
+//! [`ResilienceEvent`] order). A DES or comm record carries its rank as
+//! the first field and its virtual time as the last. Integers are
+//! varints; [`ReplayEvent::decode`] rejects one wider than the field it
+//! fills (`u32` for DES fields, `usize` for comm and resilience fields)
+//! as [`WireError::Invalid`].
 //!
 //! Events compare bit-exactly (timestamps are IEEE-754-identical across
 //! replays of the same inputs), which is what makes strict event-by-event
 //! verification meaningful.
 
 use cpx_comm::{CollectiveOp, CommEvent, CommEventKind};
-use cpx_core::ResilienceEvent;
+use cpx_core::{ResilienceEvent, SdcSite};
 use cpx_machine::{CollectiveKind, DesEvent, DesEventKind};
 
 use crate::wire::{Decoder, Encoder, WireError};
-use cpx_core::SdcSite;
 
-/// One recorded event. See the module docs for the three producers.
+/// One recorded event, tagged by the engine that produced it. See the
+/// module docs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplayEvent {
-    /// DES: a rank deposited a message.
-    Send {
-        rank: u64,
-        dst: u64,
-        tag: u64,
-        bytes: u64,
-        vtime: f64,
-    },
-    /// DES: a rank completed a matching receive.
-    Recv {
-        rank: u64,
-        src: u64,
-        tag: u64,
-        vtime: f64,
-    },
-    /// DES: a rank arrived at a collective.
-    Collective {
-        rank: u64,
-        kind: CollectiveKind,
-        group: u64,
-        vtime: f64,
-    },
-    /// DES: a rank ran out of ops.
-    Finish { rank: u64, vtime: f64 },
-    /// Comm runtime: a send was issued, with its fault-plan draw.
-    CommSend {
-        rank: u64,
-        dst: u64,
-        tag: u64,
-        seq: u64,
-        dropped: bool,
-        duplicated: bool,
-        corrupted: bool,
-        vtime: f64,
-    },
-    /// Comm runtime: a message was admitted (CRC verified).
-    CommRecv {
-        rank: u64,
-        src: u64,
-        tag: u64,
-        vtime: f64,
-    },
-    /// Comm runtime: a message failed its payload CRC check.
-    CommRecvCorrupt {
-        rank: u64,
-        src: u64,
-        tag: u64,
-        vtime: f64,
-    },
-    /// Comm runtime: retry backoff charged.
-    CommBackoff { rank: u64, attempt: u64, vtime: f64 },
-    /// Comm runtime: dead peer detected.
-    CommPeerDead { rank: u64, peer: u64, vtime: f64 },
-    /// Comm runtime: a virtual receive deadline expired.
-    CommTimeout { rank: u64, src: u64, vtime: f64 },
-    /// Comm runtime: the rank entered a collective.
-    CommCollective {
-        rank: u64,
-        op: CollectiveOp,
-        vtime: f64,
-    },
-    /// Comm runtime: the fault plan crashed this rank.
-    CommCrash { rank: u64, vtime: f64 },
-    /// Comm runtime: the rank aborted on an unrecoverable error.
-    CommAbort { rank: u64, vtime: f64 },
-    /// Resilience: a CU exchange fell back to the stale mapping.
-    StaleExchange { iter: u64, cu: u64 },
-    /// Resilience: a coordinated checkpoint was written.
-    Checkpoint { iter: u64 },
-    /// Resilience: a rank of an app instance crashed.
-    Crash { app: u64, iter: u64, vtime: f64 },
-    /// Resilience: rollback to the last checkpoint.
-    Rollback { to_iter: u64 },
-    /// Resilience: ULFM-style shrink of the crashed instance.
-    Shrink { app: u64, ranks_after: u64 },
-    /// Resilience: the detector layer caught an injected corruption.
-    SdcDetected { iter: u64, site: SdcSite },
-    /// Resilience: a detected corruption was recovered.
-    SdcRecovered { iter: u64, cost: f64 },
+    /// A DES scheduler event.
+    Des(DesEvent),
+    /// A threaded comm-runtime event.
+    Comm(CommEvent),
+    /// A resilient-run decision.
+    Resilience(ResilienceEvent),
 }
 
 fn collective_kind_tag(k: CollectiveKind) -> u8 {
@@ -183,48 +124,46 @@ fn sdc_site_from(tag: u8) -> Option<SdcSite> {
     })
 }
 
+/// A varint narrowed to the width of the field it fills.
+fn get_narrow<T: TryFrom<u64>>(dec: &mut Decoder<'_>) -> Result<T, WireError> {
+    let offset = dec.offset();
+    T::try_from(dec.get_uv()?).map_err(|_| WireError::Invalid {
+        offset,
+        what: "varint wider than its field",
+    })
+}
+
+/// A one-byte enum tag, mapped through `from`.
+fn get_tag<T>(
+    dec: &mut Decoder<'_>,
+    from: fn(u8) -> Option<T>,
+    what: &'static str,
+) -> Result<T, WireError> {
+    let tag = dec.get_u8()?;
+    from(tag).ok_or(WireError::Invalid {
+        offset: dec.offset() - 1,
+        what,
+    })
+}
+
 impl ReplayEvent {
     /// The rank the event happened on, where it has one (resilience
     /// decisions are whole-run, not per-rank).
     pub fn rank(&self) -> Option<u64> {
-        use ReplayEvent::*;
-        match *self {
-            Send { rank, .. }
-            | Recv { rank, .. }
-            | Collective { rank, .. }
-            | Finish { rank, .. }
-            | CommSend { rank, .. }
-            | CommRecv { rank, .. }
-            | CommRecvCorrupt { rank, .. }
-            | CommBackoff { rank, .. }
-            | CommPeerDead { rank, .. }
-            | CommTimeout { rank, .. }
-            | CommCollective { rank, .. }
-            | CommCrash { rank, .. }
-            | CommAbort { rank, .. } => Some(rank),
-            _ => None,
+        match self {
+            ReplayEvent::Des(e) => Some(e.rank.into()),
+            ReplayEvent::Comm(e) => Some(e.rank as u64),
+            ReplayEvent::Resilience(_) => None,
         }
     }
 
     /// The event's virtual timestamp, where it carries one.
     pub fn vtime(&self) -> Option<f64> {
-        use ReplayEvent::*;
         match *self {
-            Send { vtime, .. }
-            | Recv { vtime, .. }
-            | Collective { vtime, .. }
-            | Finish { vtime, .. }
-            | CommSend { vtime, .. }
-            | CommRecv { vtime, .. }
-            | CommRecvCorrupt { vtime, .. }
-            | CommBackoff { vtime, .. }
-            | CommPeerDead { vtime, .. }
-            | CommTimeout { vtime, .. }
-            | CommCollective { vtime, .. }
-            | CommCrash { vtime, .. }
-            | CommAbort { vtime, .. }
-            | Crash { vtime, .. } => Some(vtime),
-            _ => None,
+            ReplayEvent::Des(e) => Some(e.vtime),
+            ReplayEvent::Comm(e) => Some(e.vtime),
+            ReplayEvent::Resilience(ResilienceEvent::Crash { vtime, .. }) => Some(vtime),
+            ReplayEvent::Resilience(_) => None,
         }
     }
 
@@ -233,345 +172,267 @@ impl ReplayEvent {
     /// `Recv{src:3}` or `Collective{Allreduce}`. Timestamps are
     /// deliberately excluded (they are reported separately).
     pub fn describe(&self) -> String {
-        use ReplayEvent::*;
+        use ResilienceEvent::*;
         match *self {
-            Send { dst, tag, .. } => format!("Send{{dst:{dst},tag:{tag}}}"),
-            Recv { src, .. } => format!("Recv{{src:{src}}}"),
-            Collective { kind, .. } => format!("Collective{{{kind:?}}}"),
-            Finish { .. } => "Finish".to_string(),
-            CommSend {
-                dst,
-                dropped,
-                duplicated,
-                corrupted,
-                ..
-            } => {
-                let mut s = format!("CommSend{{dst:{dst}");
-                if dropped {
-                    s.push_str(",dropped");
+            ReplayEvent::Des(e) => match e.kind {
+                DesEventKind::Send { dst, tag, .. } => format!("Send{{dst:{dst},tag:{tag}}}"),
+                DesEventKind::Recv { src, .. } => format!("Recv{{src:{src}}}"),
+                DesEventKind::Collective { kind, .. } => format!("Collective{{{kind:?}}}"),
+                DesEventKind::Finish => "Finish".to_string(),
+            },
+            ReplayEvent::Comm(e) => match e.kind {
+                CommEventKind::Send {
+                    dst,
+                    dropped,
+                    duplicated,
+                    corrupted,
+                    ..
+                } => {
+                    let mut s = format!("CommSend{{dst:{dst}");
+                    if dropped {
+                        s.push_str(",dropped");
+                    }
+                    if duplicated {
+                        s.push_str(",dup");
+                    }
+                    if corrupted {
+                        s.push_str(",corrupt");
+                    }
+                    s.push('}');
+                    s
                 }
-                if duplicated {
-                    s.push_str(",dup");
+                CommEventKind::Recv { src, .. } => format!("CommRecv{{src:{src}}}"),
+                CommEventKind::RecvCorrupt { src, .. } => format!("CommRecvCorrupt{{src:{src}}}"),
+                CommEventKind::Backoff { attempt } => format!("CommBackoff{{attempt:{attempt}}}"),
+                CommEventKind::PeerDead { peer } => format!("CommPeerDead{{peer:{peer}}}"),
+                CommEventKind::Timeout { src } => format!("CommTimeout{{src:{src}}}"),
+                CommEventKind::Collective { op } => format!("CommCollective{{{op:?}}}"),
+                CommEventKind::Crash => "CommCrash".to_string(),
+                CommEventKind::Abort => "CommAbort".to_string(),
+            },
+            ReplayEvent::Resilience(e) => match e {
+                StaleExchange { iter, cu } => format!("StaleExchange{{iter:{iter},cu:{cu}}}"),
+                Checkpoint { iter } => format!("Checkpoint{{iter:{iter}}}"),
+                Crash { app, iter, .. } => format!("Crash{{app:{app},iter:{iter}}}"),
+                Rollback { to_iter } => format!("Rollback{{to_iter:{to_iter}}}"),
+                Shrink { app, ranks_after } => {
+                    format!("Shrink{{app:{app},ranks_after:{ranks_after}}}")
                 }
-                if corrupted {
-                    s.push_str(",corrupt");
-                }
-                s.push('}');
-                s
-            }
-            CommRecv { src, .. } => format!("CommRecv{{src:{src}}}"),
-            CommRecvCorrupt { src, .. } => format!("CommRecvCorrupt{{src:{src}}}"),
-            CommBackoff { attempt, .. } => format!("CommBackoff{{attempt:{attempt}}}"),
-            CommPeerDead { peer, .. } => format!("CommPeerDead{{peer:{peer}}}"),
-            CommTimeout { src, .. } => format!("CommTimeout{{src:{src}}}"),
-            CommCollective { op, .. } => format!("CommCollective{{{op:?}}}"),
-            CommCrash { .. } => "CommCrash".to_string(),
-            CommAbort { .. } => "CommAbort".to_string(),
-            StaleExchange { iter, cu } => format!("StaleExchange{{iter:{iter},cu:{cu}}}"),
-            Checkpoint { iter } => format!("Checkpoint{{iter:{iter}}}"),
-            Crash { app, iter, .. } => format!("Crash{{app:{app},iter:{iter}}}"),
-            Rollback { to_iter } => format!("Rollback{{to_iter:{to_iter}}}"),
-            Shrink { app, ranks_after } => {
-                format!("Shrink{{app:{app},ranks_after:{ranks_after}}}")
-            }
-            SdcDetected { iter, site } => format!("SdcDetected{{iter:{iter},{site:?}}}"),
-            SdcRecovered { iter, .. } => format!("SdcRecovered{{iter:{iter}}}"),
+                SdcDetected { iter, site } => format!("SdcDetected{{iter:{iter},{site:?}}}"),
+                SdcRecovered { iter, .. } => format!("SdcRecovered{{iter:{iter}}}"),
+            },
+        }
+    }
+
+    /// The record's kind byte (see the module docs' wire form).
+    fn kind_byte(&self) -> u8 {
+        use ResilienceEvent::*;
+        match *self {
+            ReplayEvent::Des(e) => match e.kind {
+                DesEventKind::Send { .. } => 0,
+                DesEventKind::Recv { .. } => 1,
+                DesEventKind::Collective { .. } => 2,
+                DesEventKind::Finish => 3,
+            },
+            ReplayEvent::Comm(e) => match e.kind {
+                CommEventKind::Send { .. } => 4,
+                CommEventKind::Recv { .. } => 5,
+                CommEventKind::RecvCorrupt { .. } => 6,
+                CommEventKind::Backoff { .. } => 7,
+                CommEventKind::PeerDead { .. } => 8,
+                CommEventKind::Timeout { .. } => 9,
+                CommEventKind::Collective { .. } => 10,
+                CommEventKind::Crash => 11,
+                CommEventKind::Abort => 12,
+            },
+            ReplayEvent::Resilience(e) => match e {
+                StaleExchange { .. } => 13,
+                Checkpoint { .. } => 14,
+                Crash { .. } => 15,
+                Rollback { .. } => 16,
+                Shrink { .. } => 17,
+                SdcDetected { .. } => 18,
+                SdcRecovered { .. } => 19,
+            },
         }
     }
 
     /// Serialize into `enc` (the record payload; framing and CRC are the
     /// container's job, see [`crate::format`]).
     pub fn encode(&self, enc: &mut Encoder) {
-        use ReplayEvent::*;
+        use ResilienceEvent::*;
+        enc.put_u8(self.kind_byte());
         match *self {
-            Send {
-                rank,
-                dst,
-                tag,
-                bytes,
-                vtime,
-            } => {
-                enc.put_u8(0);
-                enc.put_uv(rank);
-                enc.put_uv(dst);
-                enc.put_uv(tag);
-                enc.put_uv(bytes);
-                enc.put_f64(vtime);
+            ReplayEvent::Des(e) => {
+                enc.put_uv(e.rank.into());
+                match e.kind {
+                    DesEventKind::Send { dst, tag, bytes } => {
+                        enc.put_uv(dst.into());
+                        enc.put_uv(tag.into());
+                        enc.put_uv(bytes.into());
+                    }
+                    DesEventKind::Recv { src, tag } => {
+                        enc.put_uv(src.into());
+                        enc.put_uv(tag.into());
+                    }
+                    DesEventKind::Collective { kind, group } => {
+                        enc.put_u8(collective_kind_tag(kind));
+                        enc.put_uv(group.into());
+                    }
+                    DesEventKind::Finish => {}
+                }
+                enc.put_f64(e.vtime);
             }
-            Recv {
-                rank,
-                src,
-                tag,
-                vtime,
-            } => {
-                enc.put_u8(1);
-                enc.put_uv(rank);
-                enc.put_uv(src);
-                enc.put_uv(tag);
-                enc.put_f64(vtime);
+            ReplayEvent::Comm(e) => {
+                enc.put_uv(e.rank as u64);
+                match e.kind {
+                    CommEventKind::Send {
+                        dst,
+                        tag,
+                        seq,
+                        dropped,
+                        duplicated,
+                        corrupted,
+                    } => {
+                        enc.put_uv(dst as u64);
+                        enc.put_uv(tag);
+                        enc.put_uv(seq);
+                        enc.put_bool(dropped);
+                        enc.put_bool(duplicated);
+                        enc.put_bool(corrupted);
+                    }
+                    CommEventKind::Recv { src, tag } | CommEventKind::RecvCorrupt { src, tag } => {
+                        enc.put_uv(src as u64);
+                        enc.put_uv(tag);
+                    }
+                    CommEventKind::Backoff { attempt } => enc.put_uv(attempt),
+                    CommEventKind::PeerDead { peer: r } | CommEventKind::Timeout { src: r } => {
+                        enc.put_uv(r as u64)
+                    }
+                    CommEventKind::Collective { op } => enc.put_u8(collective_op_tag(op)),
+                    CommEventKind::Crash | CommEventKind::Abort => {}
+                }
+                enc.put_f64(e.vtime);
             }
-            Collective {
-                rank,
-                kind,
-                group,
-                vtime,
-            } => {
-                enc.put_u8(2);
-                enc.put_uv(rank);
-                enc.put_u8(collective_kind_tag(kind));
-                enc.put_uv(group);
-                enc.put_f64(vtime);
-            }
-            Finish { rank, vtime } => {
-                enc.put_u8(3);
-                enc.put_uv(rank);
-                enc.put_f64(vtime);
-            }
-            CommSend {
-                rank,
-                dst,
-                tag,
-                seq,
-                dropped,
-                duplicated,
-                corrupted,
-                vtime,
-            } => {
-                enc.put_u8(4);
-                enc.put_uv(rank);
-                enc.put_uv(dst);
-                enc.put_uv(tag);
-                enc.put_uv(seq);
-                enc.put_bool(dropped);
-                enc.put_bool(duplicated);
-                enc.put_bool(corrupted);
-                enc.put_f64(vtime);
-            }
-            CommRecv {
-                rank,
-                src,
-                tag,
-                vtime,
-            } => {
-                enc.put_u8(5);
-                enc.put_uv(rank);
-                enc.put_uv(src);
-                enc.put_uv(tag);
-                enc.put_f64(vtime);
-            }
-            CommRecvCorrupt {
-                rank,
-                src,
-                tag,
-                vtime,
-            } => {
-                enc.put_u8(6);
-                enc.put_uv(rank);
-                enc.put_uv(src);
-                enc.put_uv(tag);
-                enc.put_f64(vtime);
-            }
-            CommBackoff {
-                rank,
-                attempt,
-                vtime,
-            } => {
-                enc.put_u8(7);
-                enc.put_uv(rank);
-                enc.put_uv(attempt);
-                enc.put_f64(vtime);
-            }
-            CommPeerDead { rank, peer, vtime } => {
-                enc.put_u8(8);
-                enc.put_uv(rank);
-                enc.put_uv(peer);
-                enc.put_f64(vtime);
-            }
-            CommTimeout { rank, src, vtime } => {
-                enc.put_u8(9);
-                enc.put_uv(rank);
-                enc.put_uv(src);
-                enc.put_f64(vtime);
-            }
-            CommCollective { rank, op, vtime } => {
-                enc.put_u8(10);
-                enc.put_uv(rank);
-                enc.put_u8(collective_op_tag(op));
-                enc.put_f64(vtime);
-            }
-            CommCrash { rank, vtime } => {
-                enc.put_u8(11);
-                enc.put_uv(rank);
-                enc.put_f64(vtime);
-            }
-            CommAbort { rank, vtime } => {
-                enc.put_u8(12);
-                enc.put_uv(rank);
-                enc.put_f64(vtime);
-            }
-            StaleExchange { iter, cu } => {
-                enc.put_u8(13);
-                enc.put_uv(iter);
-                enc.put_uv(cu);
-            }
-            Checkpoint { iter } => {
-                enc.put_u8(14);
-                enc.put_uv(iter);
-            }
-            Crash { app, iter, vtime } => {
-                enc.put_u8(15);
-                enc.put_uv(app);
-                enc.put_uv(iter);
-                enc.put_f64(vtime);
-            }
-            Rollback { to_iter } => {
-                enc.put_u8(16);
-                enc.put_uv(to_iter);
-            }
-            Shrink { app, ranks_after } => {
-                enc.put_u8(17);
-                enc.put_uv(app);
-                enc.put_uv(ranks_after);
-            }
-            SdcDetected { iter, site } => {
-                enc.put_u8(18);
-                enc.put_uv(iter);
-                enc.put_u8(sdc_site_tag(site));
-            }
-            SdcRecovered { iter, cost } => {
-                enc.put_u8(19);
-                enc.put_uv(iter);
-                enc.put_f64(cost);
-            }
+            ReplayEvent::Resilience(e) => match e {
+                StaleExchange { iter, cu } => {
+                    enc.put_uv(iter);
+                    enc.put_uv(cu as u64);
+                }
+                Checkpoint { iter } | Rollback { to_iter: iter } => enc.put_uv(iter),
+                Crash { app, iter, vtime } => {
+                    enc.put_uv(app as u64);
+                    enc.put_uv(iter);
+                    enc.put_f64(vtime);
+                }
+                Shrink { app, ranks_after } => {
+                    enc.put_uv(app as u64);
+                    enc.put_uv(ranks_after as u64);
+                }
+                SdcDetected { iter, site } => {
+                    enc.put_uv(iter);
+                    enc.put_u8(sdc_site_tag(site));
+                }
+                SdcRecovered { iter, cost } => {
+                    enc.put_uv(iter);
+                    enc.put_f64(cost);
+                }
+            },
         }
     }
 
     /// Deserialize one event from `dec`.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<ReplayEvent, WireError> {
-        use ReplayEvent::*;
-        let tag = dec.get_u8()?;
-        Ok(match tag {
-            0 => Send {
-                rank: dec.get_uv()?,
-                dst: dec.get_uv()?,
-                tag: dec.get_uv()?,
-                bytes: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            1 => Recv {
-                rank: dec.get_uv()?,
-                src: dec.get_uv()?,
-                tag: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            2 => {
-                let rank = dec.get_uv()?;
-                let ktag = dec.get_u8()?;
-                let kind = collective_kind_from(ktag).ok_or(WireError::Invalid {
-                    offset: dec.offset() - 1,
-                    what: "unknown collective kind",
-                })?;
-                Collective {
-                    rank,
-                    kind,
-                    group: dec.get_uv()?,
+        use ResilienceEvent::*;
+        let kind = dec.get_u8()?;
+        Ok(match kind {
+            0..=3 => {
+                let rank = get_narrow(dec)?;
+                let kind = match kind {
+                    0 => DesEventKind::Send {
+                        dst: get_narrow(dec)?,
+                        tag: get_narrow(dec)?,
+                        bytes: get_narrow(dec)?,
+                    },
+                    1 => DesEventKind::Recv {
+                        src: get_narrow(dec)?,
+                        tag: get_narrow(dec)?,
+                    },
+                    2 => DesEventKind::Collective {
+                        kind: get_tag(dec, collective_kind_from, "unknown collective kind")?,
+                        group: get_narrow(dec)?,
+                    },
+                    _ => DesEventKind::Finish,
+                };
+                let vtime = dec.get_f64()?;
+                ReplayEvent::Des(DesEvent { rank, vtime, kind })
+            }
+            4..=12 => {
+                let rank = get_narrow(dec)?;
+                let kind = match kind {
+                    4 => CommEventKind::Send {
+                        dst: get_narrow(dec)?,
+                        tag: dec.get_uv()?,
+                        seq: dec.get_uv()?,
+                        dropped: dec.get_bool()?,
+                        duplicated: dec.get_bool()?,
+                        corrupted: dec.get_bool()?,
+                    },
+                    5 => CommEventKind::Recv {
+                        src: get_narrow(dec)?,
+                        tag: dec.get_uv()?,
+                    },
+                    6 => CommEventKind::RecvCorrupt {
+                        src: get_narrow(dec)?,
+                        tag: dec.get_uv()?,
+                    },
+                    7 => CommEventKind::Backoff {
+                        attempt: dec.get_uv()?,
+                    },
+                    8 => CommEventKind::PeerDead {
+                        peer: get_narrow(dec)?,
+                    },
+                    9 => CommEventKind::Timeout {
+                        src: get_narrow(dec)?,
+                    },
+                    10 => CommEventKind::Collective {
+                        op: get_tag(dec, collective_op_from, "unknown collective op")?,
+                    },
+                    11 => CommEventKind::Crash,
+                    _ => CommEventKind::Abort,
+                };
+                let vtime = dec.get_f64()?;
+                ReplayEvent::Comm(CommEvent { rank, vtime, kind })
+            }
+            13..=19 => ReplayEvent::Resilience(match kind {
+                13 => StaleExchange {
+                    iter: dec.get_uv()?,
+                    cu: get_narrow(dec)?,
+                },
+                14 => Checkpoint {
+                    iter: dec.get_uv()?,
+                },
+                15 => Crash {
+                    app: get_narrow(dec)?,
+                    iter: dec.get_uv()?,
                     vtime: dec.get_f64()?,
-                }
-            }
-            3 => Finish {
-                rank: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            4 => CommSend {
-                rank: dec.get_uv()?,
-                dst: dec.get_uv()?,
-                tag: dec.get_uv()?,
-                seq: dec.get_uv()?,
-                dropped: dec.get_bool()?,
-                duplicated: dec.get_bool()?,
-                corrupted: dec.get_bool()?,
-                vtime: dec.get_f64()?,
-            },
-            5 => CommRecv {
-                rank: dec.get_uv()?,
-                src: dec.get_uv()?,
-                tag: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            6 => CommRecvCorrupt {
-                rank: dec.get_uv()?,
-                src: dec.get_uv()?,
-                tag: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            7 => CommBackoff {
-                rank: dec.get_uv()?,
-                attempt: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            8 => CommPeerDead {
-                rank: dec.get_uv()?,
-                peer: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            9 => CommTimeout {
-                rank: dec.get_uv()?,
-                src: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            10 => {
-                let rank = dec.get_uv()?;
-                let otag = dec.get_u8()?;
-                let op = collective_op_from(otag).ok_or(WireError::Invalid {
-                    offset: dec.offset() - 1,
-                    what: "unknown collective op",
-                })?;
-                CommCollective {
-                    rank,
-                    op,
-                    vtime: dec.get_f64()?,
-                }
-            }
-            11 => CommCrash {
-                rank: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            12 => CommAbort {
-                rank: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            13 => StaleExchange {
-                iter: dec.get_uv()?,
-                cu: dec.get_uv()?,
-            },
-            14 => Checkpoint {
-                iter: dec.get_uv()?,
-            },
-            15 => Crash {
-                app: dec.get_uv()?,
-                iter: dec.get_uv()?,
-                vtime: dec.get_f64()?,
-            },
-            16 => Rollback {
-                to_iter: dec.get_uv()?,
-            },
-            17 => Shrink {
-                app: dec.get_uv()?,
-                ranks_after: dec.get_uv()?,
-            },
-            18 => {
-                let iter = dec.get_uv()?;
-                let stag = dec.get_u8()?;
-                let site = sdc_site_from(stag).ok_or(WireError::Invalid {
-                    offset: dec.offset() - 1,
-                    what: "unknown SDC site",
-                })?;
-                SdcDetected { iter, site }
-            }
-            19 => SdcRecovered {
-                iter: dec.get_uv()?,
-                cost: dec.get_f64()?,
-            },
+                },
+                16 => Rollback {
+                    to_iter: dec.get_uv()?,
+                },
+                17 => Shrink {
+                    app: get_narrow(dec)?,
+                    ranks_after: get_narrow(dec)?,
+                },
+                18 => SdcDetected {
+                    iter: dec.get_uv()?,
+                    site: get_tag(dec, sdc_site_from, "unknown SDC site")?,
+                },
+                _ => SdcRecovered {
+                    iter: dec.get_uv()?,
+                    cost: dec.get_f64()?,
+                },
+            }),
             _ => {
                 return Err(WireError::Invalid {
                     offset: dec.offset() - 1,
@@ -582,177 +443,72 @@ impl ReplayEvent {
     }
 }
 
-impl From<DesEvent> for ReplayEvent {
-    fn from(e: DesEvent) -> ReplayEvent {
-        let rank = e.rank as u64;
-        match e.kind {
-            DesEventKind::Send { dst, tag, bytes } => ReplayEvent::Send {
-                rank,
-                dst: dst as u64,
-                tag: tag as u64,
-                bytes: bytes as u64,
-                vtime: e.vtime,
-            },
-            DesEventKind::Recv { src, tag } => ReplayEvent::Recv {
-                rank,
-                src: src as u64,
-                tag: tag as u64,
-                vtime: e.vtime,
-            },
-            DesEventKind::Collective { kind, group } => ReplayEvent::Collective {
-                rank,
-                kind,
-                group: group as u64,
-                vtime: e.vtime,
-            },
-            DesEventKind::Finish => ReplayEvent::Finish {
-                rank,
-                vtime: e.vtime,
-            },
-        }
-    }
-}
-
-impl From<CommEvent> for ReplayEvent {
-    fn from(e: CommEvent) -> ReplayEvent {
-        let rank = e.rank as u64;
-        let vtime = e.vtime;
-        match e.kind {
-            CommEventKind::Send {
-                dst,
-                tag,
-                seq,
-                dropped,
-                duplicated,
-                corrupted,
-            } => ReplayEvent::CommSend {
-                rank,
-                dst: dst as u64,
-                tag,
-                seq,
-                dropped,
-                duplicated,
-                corrupted,
-                vtime,
-            },
-            CommEventKind::Recv { src, tag } => ReplayEvent::CommRecv {
-                rank,
-                src: src as u64,
-                tag,
-                vtime,
-            },
-            CommEventKind::RecvCorrupt { src, tag } => ReplayEvent::CommRecvCorrupt {
-                rank,
-                src: src as u64,
-                tag,
-                vtime,
-            },
-            CommEventKind::Backoff { attempt } => ReplayEvent::CommBackoff {
-                rank,
-                attempt,
-                vtime,
-            },
-            CommEventKind::PeerDead { peer } => ReplayEvent::CommPeerDead {
-                rank,
-                peer: peer as u64,
-                vtime,
-            },
-            CommEventKind::Timeout { src } => ReplayEvent::CommTimeout {
-                rank,
-                src: src as u64,
-                vtime,
-            },
-            CommEventKind::Collective { op } => ReplayEvent::CommCollective { rank, op, vtime },
-            CommEventKind::Crash => ReplayEvent::CommCrash { rank, vtime },
-            CommEventKind::Abort => ReplayEvent::CommAbort { rank, vtime },
-        }
-    }
-}
-
-impl From<ResilienceEvent> for ReplayEvent {
-    fn from(e: ResilienceEvent) -> ReplayEvent {
-        match e {
-            ResilienceEvent::StaleExchange { iter, cu } => ReplayEvent::StaleExchange {
-                iter,
-                cu: cu as u64,
-            },
-            ResilienceEvent::Checkpoint { iter } => ReplayEvent::Checkpoint { iter },
-            ResilienceEvent::Crash { app, iter, vtime } => ReplayEvent::Crash {
-                app: app as u64,
-                iter,
-                vtime,
-            },
-            ResilienceEvent::Rollback { to_iter } => ReplayEvent::Rollback { to_iter },
-            ResilienceEvent::Shrink { app, ranks_after } => ReplayEvent::Shrink {
-                app: app as u64,
-                ranks_after: ranks_after as u64,
-            },
-            ResilienceEvent::SdcDetected { iter, site } => ReplayEvent::SdcDetected { iter, site },
-            ResilienceEvent::SdcRecovered { iter, cost } => {
-                ReplayEvent::SdcRecovered { iter, cost }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     pub(crate) fn sample_events() -> Vec<ReplayEvent> {
         vec![
-            ReplayEvent::Send {
+            ReplayEvent::Des(DesEvent {
                 rank: 0,
-                dst: 1,
-                tag: 7,
-                bytes: 4096,
                 vtime: 1.25e-3,
-            },
-            ReplayEvent::Recv {
+                kind: DesEventKind::Send {
+                    dst: 1,
+                    tag: 7,
+                    bytes: 4096,
+                },
+            }),
+            ReplayEvent::Des(DesEvent {
                 rank: 1,
-                src: 0,
-                tag: 7,
                 vtime: 1.5e-3,
-            },
-            ReplayEvent::Collective {
+                kind: DesEventKind::Recv { src: 0, tag: 7 },
+            }),
+            ReplayEvent::Des(DesEvent {
                 rank: 2,
-                kind: CollectiveKind::Allreduce,
-                group: 0,
                 vtime: 2.0e-3,
-            },
-            ReplayEvent::Finish {
+                kind: DesEventKind::Collective {
+                    kind: CollectiveKind::Allreduce,
+                    group: 0,
+                },
+            }),
+            ReplayEvent::Des(DesEvent {
                 rank: 0,
                 vtime: 3.0e-3,
-            },
-            ReplayEvent::CommSend {
+                kind: DesEventKind::Finish,
+            }),
+            ReplayEvent::Comm(CommEvent {
                 rank: 3,
-                dst: 2,
-                tag: 99,
-                seq: 5,
-                dropped: true,
-                duplicated: false,
-                corrupted: false,
                 vtime: 4.5e-6,
-            },
-            ReplayEvent::CommCollective {
+                kind: CommEventKind::Send {
+                    dst: 2,
+                    tag: 99,
+                    seq: 5,
+                    dropped: true,
+                    duplicated: false,
+                    corrupted: false,
+                },
+            }),
+            ReplayEvent::Comm(CommEvent {
                 rank: 3,
-                op: CollectiveOp::Allreduce,
                 vtime: 6.0e-6,
-            },
-            ReplayEvent::Checkpoint { iter: 10 },
-            ReplayEvent::Crash {
+                kind: CommEventKind::Collective {
+                    op: CollectiveOp::Allreduce,
+                },
+            }),
+            ReplayEvent::Resilience(ResilienceEvent::Checkpoint { iter: 10 }),
+            ReplayEvent::Resilience(ResilienceEvent::Crash {
                 app: 1,
                 iter: 42,
                 vtime: 100.5,
-            },
-            ReplayEvent::SdcDetected {
+            }),
+            ReplayEvent::Resilience(ResilienceEvent::SdcDetected {
                 iter: 33,
                 site: SdcSite::SparseKernel,
-            },
-            ReplayEvent::SdcRecovered {
+            }),
+            ReplayEvent::Resilience(ResilienceEvent::SdcRecovered {
                 iter: 33,
                 cost: 2.25,
-            },
+            }),
         ]
     }
 
@@ -771,19 +527,20 @@ mod tests {
 
     #[test]
     fn descriptions_match_error_message_style() {
-        let recv = ReplayEvent::Recv {
+        let recv = ReplayEvent::Des(DesEvent {
             rank: 7,
-            src: 3,
-            tag: 0,
             vtime: 0.0,
-        };
+            kind: DesEventKind::Recv { src: 3, tag: 0 },
+        });
         assert_eq!(recv.describe(), "Recv{src:3}");
-        let coll = ReplayEvent::Collective {
+        let coll = ReplayEvent::Des(DesEvent {
             rank: 7,
-            kind: CollectiveKind::Allreduce,
-            group: 0,
             vtime: 0.0,
-        };
+            kind: DesEventKind::Collective {
+                kind: CollectiveKind::Allreduce,
+                group: 0,
+            },
+        });
         assert_eq!(coll.describe(), "Collective{Allreduce}");
     }
 

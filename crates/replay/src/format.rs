@@ -246,7 +246,8 @@ fn wire_record(index: usize, e: WireError) -> TraceError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpx_machine::CollectiveKind;
+    use cpx_core::ResilienceEvent;
+    use cpx_machine::{CollectiveKind, DesEvent, DesEventKind};
 
     fn sample_trace() -> Trace {
         Trace {
@@ -254,26 +255,29 @@ mod tests {
             seed: 0xDEAD_BEEF,
             world_size: 4,
             events: vec![
-                ReplayEvent::Send {
+                ReplayEvent::Des(DesEvent {
                     rank: 0,
-                    dst: 1,
-                    tag: 3,
-                    bytes: 8192,
                     vtime: 1.0e-3,
-                },
-                ReplayEvent::Recv {
+                    kind: DesEventKind::Send {
+                        dst: 1,
+                        tag: 3,
+                        bytes: 8192,
+                    },
+                }),
+                ReplayEvent::Des(DesEvent {
                     rank: 1,
-                    src: 0,
-                    tag: 3,
                     vtime: 1.1e-3,
-                },
-                ReplayEvent::Collective {
+                    kind: DesEventKind::Recv { src: 0, tag: 3 },
+                }),
+                ReplayEvent::Des(DesEvent {
                     rank: 0,
-                    kind: CollectiveKind::Allreduce,
-                    group: 0,
                     vtime: 2.0e-3,
-                },
-                ReplayEvent::Checkpoint { iter: 10 },
+                    kind: DesEventKind::Collective {
+                        kind: CollectiveKind::Allreduce,
+                        group: 0,
+                    },
+                }),
+                ReplayEvent::Resilience(ResilienceEvent::Checkpoint { iter: 10 }),
             ],
         }
     }

@@ -182,7 +182,7 @@ fn clean_coupled() -> GoldenArtifacts {
         // The DES pipeline is seed-free; 0 marks "no randomness drawn".
         seed: 0,
         world_size: alloc.total_ranks() as u32,
-        events: des_log.into_iter().map(ReplayEvent::from).collect(),
+        events: des_log.into_iter().map(ReplayEvent::Des).collect(),
     };
     let bench = bench_json("clean_coupled", 0, &trace, Some(&run));
     GoldenArtifacts {
@@ -211,7 +211,7 @@ fn crash_shrink() -> GoldenArtifacts {
         label: "crash_shrink".to_string(),
         seed: 0,
         world_size: alloc.total_ranks() as u32,
-        events: log.into_iter().map(ReplayEvent::from).collect(),
+        events: log.into_iter().map(ReplayEvent::Resilience).collect(),
     };
     let bench = bench_json("crash_shrink", 0, &trace, Some(&run));
     GoldenArtifacts {
@@ -249,7 +249,7 @@ fn sdc_recovery() -> GoldenArtifacts {
         label: "sdc_recovery".to_string(),
         seed: 0,
         world_size: alloc.total_ranks() as u32,
-        events: log.into_iter().map(ReplayEvent::from).collect(),
+        events: log.into_iter().map(ReplayEvent::Resilience).collect(),
     };
     let bench = bench_json("sdc_recovery", 0, &trace, Some(&run));
     GoldenArtifacts {
@@ -272,7 +272,7 @@ fn lossy_faultplan() -> GoldenArtifacts {
         .with_drop_prob(0.15)
         .with_dup_prob(0.10)
         .with_delay(0.20, 2e-6);
-    let (runs, log) = world.run_with_plan_logged(n, plan, move |ctx| {
+    let (runs, _, log) = world.run_recorded(n, plan, move |ctx| {
         let me = ctx.rank();
         ctx.compute(KernelCost::flops(5e7 * (me + 1) as f64));
         for round in 0..6u32 {
@@ -286,7 +286,7 @@ fn lossy_faultplan() -> GoldenArtifacts {
         label: "lossy_faultplan".to_string(),
         seed: LOSSY_SEED,
         world_size: n as u32,
-        events: log.into_iter().map(ReplayEvent::from).collect(),
+        events: log.into_iter().map(ReplayEvent::Comm).collect(),
     };
     // A compact virtual-time report: per-rank final clocks and traffic.
     let mut report = String::new();

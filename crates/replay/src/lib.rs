@@ -9,10 +9,11 @@
 //! per-rank event sequences are reproducible. This crate turns that
 //! property into a testable contract:
 //!
-//! * [`event::ReplayEvent`] — one flattened event type covering every
-//!   recorded nondeterminism source: DES scheduler events, comm-runtime
-//!   events (with each message's fault-plan draw), and resilience
-//!   decisions (checkpoint/crash/rollback/shrink/SDC).
+//! * [`event::ReplayEvent`] — the union of every recorded
+//!   nondeterminism source, each variant wrapping its engine's own
+//!   event type: DES scheduler events, comm-runtime events (with each
+//!   message's fault-plan draw), and resilience decisions
+//!   (checkpoint/crash/rollback/shrink/SDC).
 //! * [`format::Trace`] — the versioned `.cpxr` container: magic header,
 //!   schema version, length-prefixed records, per-record CRC-32. Every
 //!   way a file can be wrong maps to a typed [`format::TraceError`].

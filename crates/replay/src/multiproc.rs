@@ -1,6 +1,6 @@
 //! The `multiproc_smoke` scenario: one seeded rank program that must
 //! produce byte-identical artifacts whether the world runs in a single
-//! process ([`cpx_comm::World::run_with_plan_logged`]) or split across
+//! process ([`cpx_comm::World::run_recorded`]) or split across
 //! OS processes connected by TCP ([`cpx_comm::run_node`]).
 //!
 //! The scenario definition lives here — label, seed, world shape, fault
@@ -197,13 +197,13 @@ pub fn artifacts(summaries: &[RankSummary], events: Vec<ReplayEvent>) -> GoldenA
 /// This is the canonical generator the golden corpus records.
 pub fn run_inproc() -> GoldenArtifacts {
     let world = World::new(machine());
-    let (runs, log) = world.run_with_plan_logged(WORLD, plan(), program);
+    let (runs, _, log) = world.run_recorded(WORLD, plan(), program);
     let summaries: Vec<RankSummary> = runs
         .iter()
         .enumerate()
         .map(|(r, run)| RankSummary::from_run(r, run))
         .collect();
-    artifacts(&summaries, log.into_iter().map(ReplayEvent::from).collect())
+    artifacts(&summaries, log.into_iter().map(ReplayEvent::Comm).collect())
 }
 
 #[cfg(test)]

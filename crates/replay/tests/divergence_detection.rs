@@ -3,7 +3,7 @@
 //! the exact first diverging event with the right expected/observed
 //! kinds.
 
-use cpx_comm::{FaultPlan, ReduceOp, World};
+use cpx_comm::{CommEvent, CommEventKind, FaultPlan, ReduceOp, World};
 use cpx_machine::{KernelCost, Machine};
 use cpx_replay::{generate, verify, ReplayEvent, Trace};
 
@@ -16,7 +16,7 @@ fn lossy_run(seed: u64) -> Vec<ReplayEvent> {
         .with_drop_prob(0.25)
         .with_dup_prob(0.15)
         .with_delay(0.2, 2e-6);
-    let (_, log) = world.run_with_plan_logged(n, plan, move |ctx| {
+    let (_, _, log) = world.run_recorded(n, plan, move |ctx| {
         let me = ctx.rank();
         ctx.compute(KernelCost::flops(2e7 * (me + 1) as f64));
         for round in 0..4u32 {
@@ -26,7 +26,7 @@ fn lossy_run(seed: u64) -> Vec<ReplayEvent> {
         let g = ctx.world();
         g.allreduce_scalar(ctx, ReduceOp::Sum, ctx.rank() as f64)
     });
-    log.into_iter().map(ReplayEvent::from).collect()
+    log.into_iter().map(ReplayEvent::Comm).collect()
 }
 
 #[test]
@@ -64,10 +64,22 @@ fn altered_fault_draw_is_a_divergence() {
     // Flip one recorded fault draw: a dropped send becomes clean.
     let idx = recorded
         .iter()
-        .position(|e| matches!(e, ReplayEvent::CommSend { dropped: true, .. }))
+        .position(|e| {
+            matches!(
+                e,
+                ReplayEvent::Comm(CommEvent {
+                    kind: CommEventKind::Send { dropped: true, .. },
+                    ..
+                })
+            )
+        })
         .expect("the lossy plan drops at least one message");
     let mut tampered = recorded.clone();
-    if let ReplayEvent::CommSend { dropped, .. } = &mut tampered[idx] {
+    if let ReplayEvent::Comm(CommEvent {
+        kind: CommEventKind::Send { dropped, .. },
+        ..
+    }) = &mut tampered[idx]
+    {
         *dropped = false;
     }
     let err = verify(&tampered, &recorded).unwrap_err();

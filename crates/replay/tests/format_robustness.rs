@@ -4,12 +4,16 @@
 
 use proptest::prelude::*;
 
-use cpx_comm::CollectiveOp;
-use cpx_machine::CollectiveKind;
-use cpx_replay::{ReplayEvent, Trace, TraceError, SCHEMA_VERSION};
+use std::path::Path;
 
-/// Build one event from plain random draws (`kind` selects the
-/// variant; the integer/float fields are reused per variant).
+use cpx_comm::{CollectiveOp, CommEvent, CommEventKind};
+use cpx_core::ResilienceEvent;
+use cpx_machine::{CollectiveKind, DesEvent, DesEventKind};
+use cpx_replay::wire::{crc32, Decoder, Encoder, WireError};
+use cpx_replay::{ReplayEvent, Trace, TraceError, MAGIC, SCENARIOS, SCHEMA_VERSION};
+
+/// Build one event from plain random draws (`kind` selects the wire
+/// kind; the integer/float fields are reused per variant).
 fn make_event(kind: u8, a: u64, b: u64, c: u64, flags: u8, t: f64) -> ReplayEvent {
     let kinds = [
         CollectiveKind::Barrier,
@@ -37,88 +41,79 @@ fn make_event(kind: u8, a: u64, b: u64, c: u64, flags: u8, t: f64) -> ReplayEven
         cpx_core::SdcSite::PhysicsInvariant,
         cpx_core::SdcSite::SolverCycle,
     ];
+    let des = |kind| {
+        ReplayEvent::Des(DesEvent {
+            rank: a as u32,
+            vtime: t,
+            kind,
+        })
+    };
+    let comm = |kind| {
+        ReplayEvent::Comm(CommEvent {
+            rank: a as usize,
+            vtime: t,
+            kind,
+        })
+    };
     match kind % 20 {
-        0 => ReplayEvent::Send {
-            rank: a,
-            dst: b,
-            tag: c,
-            bytes: c.wrapping_mul(8),
-            vtime: t,
-        },
-        1 => ReplayEvent::Recv {
-            rank: a,
-            src: b,
-            tag: c,
-            vtime: t,
-        },
-        2 => ReplayEvent::Collective {
-            rank: a,
+        0 => des(DesEventKind::Send {
+            dst: b as u32,
+            tag: c as u32,
+            bytes: c.wrapping_mul(8) as u32,
+        }),
+        1 => des(DesEventKind::Recv {
+            src: b as u32,
+            tag: c as u32,
+        }),
+        2 => des(DesEventKind::Collective {
             kind: kinds[(b % 8) as usize],
-            group: c,
-            vtime: t,
-        },
-        3 => ReplayEvent::Finish { rank: a, vtime: t },
-        4 => ReplayEvent::CommSend {
-            rank: a,
-            dst: b,
+            group: c as u32,
+        }),
+        3 => des(DesEventKind::Finish),
+        4 => comm(CommEventKind::Send {
+            dst: b as usize,
             tag: c,
             seq: c.wrapping_add(1),
             dropped: flags & 1 != 0,
             duplicated: flags & 2 != 0,
             corrupted: flags & 4 != 0,
-            vtime: t,
-        },
-        5 => ReplayEvent::CommRecv {
-            rank: a,
-            src: b,
+        }),
+        5 => comm(CommEventKind::Recv {
+            src: b as usize,
             tag: c,
-            vtime: t,
-        },
-        6 => ReplayEvent::CommRecvCorrupt {
-            rank: a,
-            src: b,
+        }),
+        6 => comm(CommEventKind::RecvCorrupt {
+            src: b as usize,
             tag: c,
-            vtime: t,
-        },
-        7 => ReplayEvent::CommBackoff {
-            rank: a,
-            attempt: b,
-            vtime: t,
-        },
-        8 => ReplayEvent::CommPeerDead {
-            rank: a,
-            peer: b,
-            vtime: t,
-        },
-        9 => ReplayEvent::CommTimeout {
-            rank: a,
-            src: b,
-            vtime: t,
-        },
-        10 => ReplayEvent::CommCollective {
-            rank: a,
+        }),
+        7 => comm(CommEventKind::Backoff { attempt: b }),
+        8 => comm(CommEventKind::PeerDead { peer: b as usize }),
+        9 => comm(CommEventKind::Timeout { src: b as usize }),
+        10 => comm(CommEventKind::Collective {
             op: ops[(b % 7) as usize],
-            vtime: t,
-        },
-        11 => ReplayEvent::CommCrash { rank: a, vtime: t },
-        12 => ReplayEvent::CommAbort { rank: a, vtime: t },
-        13 => ReplayEvent::StaleExchange { iter: a, cu: b },
-        14 => ReplayEvent::Checkpoint { iter: a },
-        15 => ReplayEvent::Crash {
-            app: a,
+        }),
+        11 => comm(CommEventKind::Crash),
+        12 => comm(CommEventKind::Abort),
+        13 => ReplayEvent::Resilience(ResilienceEvent::StaleExchange {
+            iter: a,
+            cu: b as usize,
+        }),
+        14 => ReplayEvent::Resilience(ResilienceEvent::Checkpoint { iter: a }),
+        15 => ReplayEvent::Resilience(ResilienceEvent::Crash {
+            app: a as usize,
             iter: b,
             vtime: t,
-        },
-        16 => ReplayEvent::Rollback { to_iter: a },
-        17 => ReplayEvent::Shrink {
-            app: a,
-            ranks_after: b,
-        },
-        18 => ReplayEvent::SdcDetected {
+        }),
+        16 => ReplayEvent::Resilience(ResilienceEvent::Rollback { to_iter: a }),
+        17 => ReplayEvent::Resilience(ResilienceEvent::Shrink {
+            app: a as usize,
+            ranks_after: b as usize,
+        }),
+        18 => ReplayEvent::Resilience(ResilienceEvent::SdcDetected {
             iter: a,
             site: sites[(b % 5) as usize],
-        },
-        _ => ReplayEvent::SdcRecovered { iter: a, cost: t },
+        }),
+        _ => ReplayEvent::Resilience(ResilienceEvent::SdcRecovered { iter: a, cost: t }),
     }
 }
 
@@ -215,7 +210,9 @@ fn unknown_schema_version_is_typed_not_panic() {
         label: "v".to_string(),
         seed: 1,
         world_size: 2,
-        events: vec![ReplayEvent::Checkpoint { iter: 5 }],
+        events: vec![ReplayEvent::Resilience(ResilienceEvent::Checkpoint {
+            iter: 5,
+        })],
     };
     let mut bytes = trace.to_bytes();
     bytes[4..8].copy_from_slice(&(SCHEMA_VERSION + 7).to_le_bytes());
@@ -234,7 +231,9 @@ fn trailing_garbage_is_rejected() {
         label: "t".to_string(),
         seed: 1,
         world_size: 2,
-        events: vec![ReplayEvent::Rollback { to_iter: 3 }],
+        events: vec![ReplayEvent::Resilience(ResilienceEvent::Rollback {
+            to_iter: 3,
+        })],
     };
     let mut bytes = trace.to_bytes();
     bytes.push(0xEE);
@@ -242,4 +241,88 @@ fn trailing_garbage_is_rejected() {
         Trace::from_bytes(&bytes),
         Err(TraceError::Malformed { .. })
     ));
+}
+
+#[test]
+fn committed_golden_traces_re_encode_byte_for_byte() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
+    for name in SCENARIOS {
+        let bytes = std::fs::read(root.join(name).join("trace.cpxr")).unwrap();
+        let trace = Trace::from_bytes(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(!trace.events.is_empty(), "{name}: empty trace");
+        assert!(
+            trace.to_bytes() == bytes,
+            "{name}: re-encoding changed bytes"
+        );
+    }
+}
+
+/// A hand-encoded DES `Send` record payload (kind byte 0).
+fn des_send_payload(rank: u64, bytes: u64) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_u8(0);
+    enc.put_uv(rank);
+    enc.put_uv(1); // dst
+    enc.put_uv(7); // tag
+    enc.put_uv(bytes);
+    enc.put_f64(0.5);
+    enc.into_bytes()
+}
+
+/// A one-record `.cpxr` file around `payload`, with a valid CRC.
+fn one_record_trace(payload: &[u8]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_bytes(&MAGIC);
+    enc.put_u32(SCHEMA_VERSION);
+    enc.put_str("hand");
+    enc.put_uv(0);
+    enc.put_u32(2);
+    enc.put_uv(1);
+    enc.put_uv(payload.len() as u64);
+    enc.put_bytes(payload);
+    enc.put_u32(crc32(payload));
+    enc.into_bytes()
+}
+
+#[test]
+fn over_wide_des_fields_are_rejected_not_truncated() {
+    // At the boundary the hand encoding decodes, which shows the
+    // rejections below are about width alone.
+    let max = u64::from(u32::MAX);
+    let ok = des_send_payload(max, max);
+    let ev = ReplayEvent::decode(&mut Decoder::new(&ok)).unwrap();
+    assert_eq!(
+        ev,
+        ReplayEvent::Des(DesEvent {
+            rank: u32::MAX,
+            vtime: 0.5,
+            kind: DesEventKind::Send {
+                dst: 1,
+                tag: 7,
+                bytes: u32::MAX,
+            },
+        })
+    );
+    assert_eq!(
+        Trace::from_bytes(&one_record_trace(&ok)).unwrap().events,
+        vec![ev]
+    );
+
+    for (rank, bytes) in [(1u64 << 32, 8), (0, 1u64 << 32)] {
+        let payload = des_send_payload(rank, bytes);
+        assert!(
+            matches!(
+                ReplayEvent::decode(&mut Decoder::new(&payload)),
+                Err(WireError::Invalid { .. })
+            ),
+            "rank {rank}, bytes {bytes}"
+        );
+        assert!(
+            matches!(
+                Trace::from_bytes(&one_record_trace(&payload)),
+                Err(TraceError::Malformed { index: 0, .. })
+            ),
+            "rank {rank}, bytes {bytes}"
+        );
+    }
 }

@@ -75,7 +75,7 @@ fn resilient_logged(
     events: &mut Vec<ReplayEvent>,
 ) -> CoupledRun {
     let (run, log) = run_coupled_resilient_logged(scenario, alloc, machine, 20);
-    events.extend(log.into_iter().map(ReplayEvent::from));
+    events.extend(log.into_iter().map(ReplayEvent::Resilience));
     run
 }
 
@@ -90,11 +90,11 @@ fn main() {
     let plan = FaultPlan::new(9u64.wrapping_add(args.seed))
         .with_drop_prob(0.20)
         .with_dup_prob(0.05);
-    let (runs, log) = World::new(machine.clone()).run_with_plan_logged(8, plan, |ctx| {
+    let (runs, _, log) = World::new(machine.clone()).run_recorded(8, plan, |ctx| {
         let g = ctx.world();
         g.allreduce_scalar(ctx, ReduceOp::Sum, ctx.rank() as f64 + 1.0)
     });
-    events.extend(log.into_iter().map(ReplayEvent::from));
+    events.extend(log.into_iter().map(ReplayEvent::Comm));
     for (r, run) in runs.iter().enumerate() {
         if let RankOutcome::Completed(v) = &run.outcome {
             println!(
@@ -108,12 +108,12 @@ fn main() {
 
     println!("\n=== comm layer: rank 2 crashes mid-collective ===");
     let plan = FaultPlan::new(7u64.wrapping_add(args.seed)).with_crash(2, 5e-5);
-    let (runs, log) = World::new(machine.clone()).run_with_plan_logged(4, plan, |ctx| {
+    let (runs, _, log) = World::new(machine.clone()).run_recorded(4, plan, |ctx| {
         ctx.compute_secs(1e-4);
         let g = ctx.world();
         g.try_allreduce_scalar(ctx, ReduceOp::Sum, 1.0)
     });
-    events.extend(log.into_iter().map(ReplayEvent::from));
+    events.extend(log.into_iter().map(ReplayEvent::Comm));
     for (r, run) in runs.iter().enumerate() {
         match &run.outcome {
             RankOutcome::Crashed { at } => println!("rank {r}: crashed at t={at:.1e}s"),

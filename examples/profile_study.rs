@@ -88,7 +88,7 @@ fn generate(machine: &Machine) -> Artifacts {
     // 2. Threaded comm run under a lossy fault plan; every rank must
     //    survive (drops are retried transparently).
     let world = World::new(machine.clone());
-    let (runs, comm_session) = world.run_with_plan_traced(COMM_RANKS, lossy_plan(), comm_program);
+    let (runs, comm_session, _) = world.run_recorded(COMM_RANKS, lossy_plan(), comm_program);
     assert!(
         runs.iter()
             .all(|r| matches!(r.outcome, RankOutcome::Completed(_))),
@@ -203,14 +203,15 @@ fn main() {
         (profiled / plain - 1.0) * 100.0
     );
 
-    // Recorder overhead on the threaded virtual runtime, where spans
-    // wrap virtual (not wall) work — a worst case for relative cost.
+    // Recorder overhead on the threaded virtual runtime (span lanes and
+    // comm event log together), where spans wrap virtual (not wall)
+    // work — a worst case for relative cost.
     let world = World::new(machine.clone());
     let off = wall_min(reps, || {
         let _ = world.run_with_plan(COMM_RANKS, lossy_plan(), comm_program);
     });
     let on = wall_min(reps, || {
-        let _ = world.run_with_plan_traced(COMM_RANKS, lossy_plan(), comm_program);
+        let _ = world.run_recorded(COMM_RANKS, lossy_plan(), comm_program);
     });
     println!(
         "recorder overhead (comm runtime): {:.3} ms disabled vs {:.3} ms enabled ({:+.2}%)",

@@ -316,14 +316,14 @@ fn physics_guards() {
 fn comm_crc(machine: &Machine, seed: u64, events: &mut Vec<ReplayEvent>) {
     println!("\n=== part 4: payload CRC on the virtual MPI runtime ===");
     let plan = FaultPlan::new(31u64.wrapping_add(seed)).with_corrupt_prob(1.0);
-    let (runs, log) = World::new(machine.clone()).run_with_plan_logged(2, plan, |ctx| {
+    let (runs, _, log) = World::new(machine.clone()).run_recorded(2, plan, |ctx| {
         if ctx.rank() == 0 {
             ctx.try_send(1, 0, vec![1.0f64, 2.0, 3.0]).map(|_| ())
         } else {
             ctx.try_recv_from(0, 0).map(|_| ())
         }
     });
-    events.extend(log.into_iter().map(ReplayEvent::from));
+    events.extend(log.into_iter().map(ReplayEvent::Comm));
     match &runs[1].outcome {
         RankOutcome::Completed(Err(CommError::Corrupted {
             crc_sent, crc_got, ..
@@ -339,7 +339,7 @@ fn comm_crc(machine: &Machine, seed: u64, events: &mut Vec<ReplayEvent>) {
         runs[1].report.corrupted_msgs
     );
 
-    let (clean, log) = World::new(machine.clone()).run_with_plan_logged(
+    let (clean, _, log) = World::new(machine.clone()).run_recorded(
         4,
         FaultPlan::new(32u64.wrapping_add(seed)),
         |ctx| {
@@ -350,7 +350,7 @@ fn comm_crc(machine: &Machine, seed: u64, events: &mut Vec<ReplayEvent>) {
             }
         },
     );
-    events.extend(log.into_iter().map(ReplayEvent::from));
+    events.extend(log.into_iter().map(ReplayEvent::Comm));
     let total: u64 = clean.iter().map(|r| r.report.corrupted_msgs).sum();
     println!("  clean 4-rank ring: {total} corrupted messages (CRC never false-positives)");
     assert_eq!(total, 0);
@@ -388,7 +388,7 @@ fn coupled_policies(machine: &Machine, budget: usize, replay_log: &mut Vec<Repla
                 .with_checkpoint_interval(10),
         );
         let (run, log) = run_coupled_resilient_logged(&s, &alloc, machine, 20);
-        replay_log.extend(log.into_iter().map(ReplayEvent::from));
+        replay_log.extend(log.into_iter().map(ReplayEvent::Resilience));
         println!(
             "{:>20} {:>9} {:>10} {:>11.1} {:>12.1} {:>10.1}",
             policy.to_string(),
@@ -410,7 +410,7 @@ fn coupled_policies(machine: &Machine, budget: usize, replay_log: &mut Vec<Repla
         .clone()
         .with_fault(FaultScenario::sdc_only(events).with_abft(false));
     let (run, log) = run_coupled_resilient_logged(&s, &alloc, machine, 20);
-    replay_log.extend(log.into_iter().map(ReplayEvent::from));
+    replay_log.extend(log.into_iter().map(ReplayEvent::Resilience));
     println!(
         "{:>20} {:>9} {:>10} {:>11.1} {:>12.1} {:>10.1}   <- silent corruption",
         "(abft disarmed)",

@@ -2,12 +2,33 @@
 //! testbed — the executable form of EXPERIMENTS.md. Each test names the
 //! figure it guards.
 
+use std::sync::OnceLock;
+
+use cpx_core::prelude::{Allocation, Scenario};
 use cpx_machine::Machine;
 use cpx_pressure::{PressureConfig, PressurePhase, PressureTraceModel};
 use cpx_simpic::{SimpicConfig, SimpicTraceModel};
 
 fn machine() -> Machine {
     Machine::archer2()
+}
+
+/// The large engine of Fig 9 with its Algorithm-1 allocation at 40,000
+/// cores, Base-STC then Optimized-STC. Calibrating both variants is the
+/// most expensive step of this suite, so Fig 9b and Fig 9c share one
+/// calibration.
+fn large_engines() -> &'static [(Scenario, Allocation); 2] {
+    static ENGINES: OnceLock<[(Scenario, Allocation); 2]> = OnceLock::new();
+    ENGINES.get_or_init(|| {
+        use cpx_core::prelude::*;
+        let grid = [100usize, 400, 1600, 6400, 25_600, 40_000];
+        [StcVariant::Base, StcVariant::Optimized].map(|variant| {
+            let scenario = testcases::large_engine(variant);
+            let models = model::build_models_with_grid(&scenario, &machine(), 1000.0, &grid);
+            let alloc = model::allocate_scenario(&models, 40_000);
+            (scenario, alloc)
+        })
+    })
 }
 
 fn pe(points: &[(usize, f64)], i: usize) -> f64 {
@@ -128,13 +149,9 @@ fn fig6bc_optimized_stc_equivalence() {
 /// large majority of the 40,000-core budget (paper: 32,201).
 #[test]
 fn fig9b_allocation_structure() {
-    use cpx_core::prelude::*;
-    let m = machine();
-    let grid = [100usize, 400, 1600, 6400, 25_600, 40_000];
+    let [(_, base), (_, optimized)] = large_engines();
     // Base-STC.
-    let scenario = testcases::large_engine(StcVariant::Base);
-    let models = model::build_models_with_grid(&scenario, &m, 1000.0, &grid);
-    let alloc = model::allocate_scenario(&models, 40_000);
+    let alloc = base;
     let simpic = alloc.app_ranks[13];
     assert!(
         (9_000..22_000).contains(&simpic),
@@ -148,9 +165,7 @@ fn fig9b_allocation_structure() {
     assert!(alloc.total_ranks() < 40_000);
 
     // Optimized-STC.
-    let scenario = testcases::large_engine(StcVariant::Optimized);
-    let models = model::build_models_with_grid(&scenario, &m, 1000.0, &grid);
-    let alloc = model::allocate_scenario(&models, 40_000);
+    let alloc = optimized;
     let simpic = alloc.app_ranks[13];
     assert!(
         (26_000..39_000).contains(&simpic),
@@ -168,15 +183,10 @@ fn fig9b_allocation_structure() {
 /// one revolution, with coupling overhead below 0.5%.
 #[test]
 fn fig9c_revolution_speedup() {
-    use cpx_core::prelude::*;
     let m = machine();
-    let grid = [100usize, 400, 1600, 6400, 25_600, 40_000];
     let mut runtimes = Vec::new();
-    for variant in [StcVariant::Base, StcVariant::Optimized] {
-        let scenario = testcases::large_engine(variant);
-        let models = model::build_models_with_grid(&scenario, &m, 1000.0, &grid);
-        let alloc = model::allocate_scenario(&models, 40_000);
-        let run = sim::run_coupled(&scenario, &alloc, &m, 20);
+    for (scenario, alloc) in large_engines() {
+        let run = cpx_core::sim::run_coupled(scenario, alloc, &m, 20);
         assert!(
             run.coupling_overhead < 0.005,
             "coupling overhead {}",
